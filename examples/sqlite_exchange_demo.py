@@ -182,7 +182,7 @@ def main() -> None:
     )
     assert resident.graph.size() == (0, 0)  # still no graph in Python
 
-    # trusted() pushes the policy INTO the SQL fixpoint: distrusting
+    # trusted() pushes the policy INTO the liveness fixpoint: distrusting
     # the most upstream mapping cuts everything derived through it,
     # and leaf conditions filter which local rows seed the live set.
     policy = TrustPolicy()
@@ -192,7 +192,7 @@ def main() -> None:
     print(
         f"resident trust under distrust(m5): {trusted_count} of "
         f"{len(verdicts)} stored tuples trusted "
-        f"(fixpoint rounds: {resident.last_graph_query.iterations})"
+        f"({resident.last_graph_query.pm_rows_scanned} live firings)"
     )
     assert not verdicts[node]  # entry only reaches P0 through m5
     assert trusted_count < len(verdicts)

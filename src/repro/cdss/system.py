@@ -285,9 +285,9 @@ class CDSS:
 
     def exchange(
         self,
-        engine: str = "memory",
+        engine: str | None = None,
         storage: "ExchangeStore | str | os.PathLike | None" = None,
-        resident: bool = False,
+        resident: bool | None = None,
         validate: str = "off",
     ) -> EvaluationResult:
         """Run (incremental) update exchange.
@@ -296,7 +296,8 @@ class CDSS:
         semi-naive evaluation with only the pending local insertions,
         so unchanged derivations are not re-fired.
 
-        ``engine`` selects the evaluation substrate: ``"memory"`` runs
+        ``engine`` selects the evaluation substrate: ``"memory"`` (the
+        default of a system that is not store-resident) runs
         compiled join plans over in-memory hash indexes; ``"sqlite"``
         runs whole delta batches as set-oriented SQL statements
         (:mod:`repro.exchange.sql_executor`) — the out-of-core mode.
@@ -324,7 +325,11 @@ class CDSS:
         and provenance derivations are never materialized in Python —
         the instance holds only local contributions, so working sets
         may exceed memory.  The mode is sticky: once a system has
-        exchanged residently it must keep doing so, and
+        exchanged residently it must keep doing so — a later call
+        that leaves ``engine``/``storage``/``resident`` unspecified
+        (plain ``exchange()``) continues on the pinned store, while an
+        explicit conflicting value (``resident=False``, another engine,
+        a different store) raises :class:`ExchangeError` — and
         :meth:`instance_size` counts store rows.  The full paper
         lifecycle stays available relationally: :meth:`delete_local`
         marks victims in SQL, :meth:`propagate_deletions` runs the
@@ -357,6 +362,11 @@ class CDSS:
         accumulate in :attr:`metrics`.
         """
         started = time.perf_counter()
+        # Unspecified arguments follow the mode the system is pinned to.
+        if engine is None:
+            engine = "sqlite" if self._resident else "memory"
+        if resident is None:
+            resident = self._resident
         with self.tracer.span("exchange") as span:
             span.set("engine", engine).set("resident", resident)
             if validate != "off":
@@ -795,10 +805,13 @@ class CDSS:
         history is annotated by the same SQL liveness fixpoint that
         drives :meth:`propagate_deletions`, with every stored tuple's
         verdict read off its membership in the live set; no
-        :class:`ProvenanceGraph` is materialized.  When the store's
-        maintained reachability index is current the fixpoint runs over
-        the compact index tables and repeat calls answer from a cached
-        verdict (``index_hit == 1`` on the stats); a stale index is
+        :class:`ProvenanceGraph` is materialized.  That walk is the
+        oracle; by default the answer comes from the store's maintained
+        reachability index through the shared pure-SELECT read core
+        (:mod:`repro.exchange.index_reads`, the code serving sessions
+        run too): a worklist fixpoint over the compact integer edge
+        tables, with repeat calls answered from the per-epoch cache
+        (``index_hit == 1`` on the stats); a stale index is
         rebuilt once at query time (``index_miss == 1``), after which
         it stays current until the next mutation.  Non-resident systems
         annotate the in-memory graph.  Both engines answer over the
@@ -818,9 +831,11 @@ class CDSS:
         backward transitive-closure walk over the stored firing
         history's join columns
         (:meth:`repro.exchange.graph_queries.StoreGraphQueries.lineage`);
-        no :class:`ProvenanceGraph` is materialized.  With a current
-        maintained reachability index the walk collapses to an indexed
-        ancestor-closure probe — an interval containment test when the
+        no :class:`ProvenanceGraph` is materialized.  That walk is the
+        oracle; by default the shared pure-SELECT read core
+        (:mod:`repro.exchange.index_reads`) answers from the maintained
+        reachability index with one ancestor-closure probe — an
+        interval containment test when the
         DAG is tree-shaped, one recursive CTE otherwise — reported as
         ``index_hit == 1`` on the stats; a stale index is rebuilt once
         at query time first (``index_miss == 1``).  Non-resident
@@ -861,9 +876,12 @@ class CDSS:
         conditions select which local rows seed the live set,
         distrusted mappings are excluded from the firing joins), so
         trust never materializes a :class:`ProvenanceGraph` either.
-        With a current maintained reachability index the fixpoint runs
-        over the index tables, and repeat calls under the same policy
-        answer from a cached verdict (``index_hit == 1`` on the
+        By default the shared read core
+        (:mod:`repro.exchange.index_reads`) runs that fixpoint as a
+        worklist over the maintained reachability index's edge tables,
+        and repeat calls under the same policy (same default, same
+        distrusted mappings, the same condition objects) answer from
+        the per-epoch cache (``index_hit == 1`` on the
         stats); a stale index is rebuilt once at query time
         (``index_miss == 1``).  Non-resident systems annotate the
         in-memory graph in the TRUST semiring.

@@ -39,6 +39,14 @@ walks traverse the same derivation structure the graph engine would —
 the Gottlob–Orsi–Pieris move of rewriting a graph/ontological query
 into plain SQL over the underlying relations.
 
+**Index first.**  The walks above are the ``use_index=False`` oracle.
+By default :class:`StoreGraphQueries` answers from the store's
+maintained reachability index instead: it makes the index current
+(rebuilding a stale one) and hands the store connection to the one
+pure-SELECT read core, :class:`repro.exchange.index_reads.IndexReadCore`
+— the same code the serving tier's read-only sessions run, so there is
+exactly one implementation of each indexed query.
+
 **Consistency window.**  The store answers as of the last
 ``exchange``/``propagate_deletions``: local insertions not yet
 exchanged are invisible (exactly like the graph engine, whose graph
@@ -60,6 +68,8 @@ from repro.datalog.evaluation import EvaluationResult
 from repro.datalog.planner import CompiledRule
 from repro.errors import EvaluationError, ExchangeError
 from repro.exchange.cache import CompiledExchangeProgram
+from repro.exchange.index_reads import IndexReadCore
+from repro.exchange.reach_index import ReachabilityIndex, lower_reach_program
 from repro.exchange.sql_plans import (
     DerivabilityRuleSQL,
     DerivabilitySQL,
@@ -324,11 +334,15 @@ class StoreGraphQueries:
 
     With ``use_index=True`` (the default) queries answer from the
     store's maintained reachability index
-    (:mod:`repro.exchange.reach_index`): a current index is used
-    directly (``index_hit``), a stale or absent one is rebuilt first
-    under an ``index.rebuild`` span (``index_miss``) — either way the
-    answers equal the unindexed paths', which ``use_index=False`` keeps
-    available verbatim as the testing oracle.
+    (:mod:`repro.exchange.reach_index`) through its read core
+    (:mod:`repro.exchange.index_reads`, one instance kept on
+    ``store.reach_index`` so its per-epoch cache outlives this
+    object): a current index is used directly (``index_hit``), a stale
+    or absent one is rebuilt first under an ``index.rebuild`` span
+    (``index_miss``) — either way the answers equal the unindexed
+    paths', which ``use_index=False`` keeps available verbatim as the
+    testing oracle (and which alone honour ``max_iterations``: the
+    index reads are single-pass and terminate by construction).
     """
 
     def __init__(
@@ -373,27 +387,36 @@ class StoreGraphQueries:
         result.index_miss = miss
         return result
 
-    def _ready_index(self):
-        """The (index, lowering, miss-flag) triple for an indexed
+    def _index_result(self, scanned: int, miss: int) -> EvaluationResult:
+        """Stats of one index-answered query: a single pass over the
+        index, a hit unless the index had to be rebuilt first."""
+        return self._result(1, scanned, hit=1 - miss, miss=miss)
+
+    def _ready_index(
+        self,
+    ) -> "tuple[IndexReadCore, ReachabilityIndex, int] | None":
+        """The (read core, index, miss-flag) triple for an indexed
         query, rebuilding a stale/absent index first; None when this
         instance runs unindexed."""
         if not self.use_index:
             return None
-        from repro.exchange.reach_index import lower_reach_program
-
         program = self.program
         if program.reach is None:
             program.reach = lower_reach_program(
                 program.compiled, self.catalog, self.store.codec
             )
-        rsql = program.reach
         index = self.store.reach_index
-        index.ensure_schema(rsql)
+        index.ensure_schema(program.reach)
         miss = 0
         if not index.current:
-            index.rebuild(rsql, self.tracer)
+            index.rebuild(program.reach, self.tracer)
             miss = 1
-        return index, rsql, miss
+        core = index.read_core
+        if core is None or core.catalog is not self.catalog:
+            core = index.read_core = IndexReadCore(
+                self.catalog, self.store.codec, self.store.prepared
+            )
+        return core, index, miss
 
     def _derivability_sql(self) -> DerivabilitySQL:
         program = self.program
@@ -518,55 +541,6 @@ class StoreGraphQueries:
             store.reset_derivability(dsql)
         return values, self._result(iterations, scanned)
 
-    def _annotate_indexed(
-        self,
-        index,
-        rsql,
-        seeds: dict[str, object],
-        distrusted: "frozenset[str]",
-        max_iterations: int | None,
-    ) -> tuple[dict[TupleNode, bool], int, int]:
-        """Indexed derivability/trust body: integer fixpoint over the
-        fire/body tables, verdicts via the per-epoch node cache."""
-        conn = self.store.connection
-        catalog = self.catalog
-
-        def seed(relation: str, base: int) -> int:
-            spec = seeds.get(relation)
-            if spec is SEED_NOTHING:
-                return 0
-            if spec is None:
-                for table in ("__rq_live", "__rq_delta"):
-                    conn.execute(
-                        f'INSERT INTO "{table}" '
-                        f"SELECT rowid + ? FROM {_q(relation)}",
-                        (base,),
-                    )
-                return self.store.cached_count(relation)
-            ids = [
-                (node_id,)
-                for node_id, node in index.nodes_with_ids(relation, catalog)
-                if spec(node.values)
-            ]
-            for table in ("__rq_live", "__rq_delta"):
-                conn.executemany(
-                    f'INSERT OR IGNORE INTO "{table}" VALUES (?)', ids
-                )
-            return len(ids)
-
-        try:
-            iterations, scanned = index.annotate_fixpoint(
-                seed, rsql.edb_relations, distrusted, max_iterations
-            )
-            values: dict[TupleNode, bool] = {}
-            for relation in rsql.relations:
-                live = index.live_ids(relation)
-                for node_id, node in index.nodes_with_ids(relation, catalog):
-                    values[node] = node_id in live
-        finally:
-            index.reset_temp_state()
-        return values, iterations, scanned
-
     # -- the three queries --------------------------------------------------
 
     def derivability(
@@ -584,19 +558,11 @@ class StoreGraphQueries:
         ready = self._ready_index()
         if ready is None:
             return self._annotate_by_liveness({}, None, max_iterations)
-        index, rsql, miss = ready
-        key = ("derivability",)
-        cached = index.cached_result(key)
-        if cached is not None:
-            values, iterations, scanned = cached
-            return dict(values), self._result(iterations, scanned, hit=1)
-        values, iterations, scanned = self._annotate_indexed(
-            index, rsql, {}, frozenset(), max_iterations
+        core, index, miss = ready
+        answer, _cached = core.derivability(
+            self.store.connection, index.epoch
         )
-        index.cache_result(key, values, iterations, scanned)
-        return dict(values), self._result(
-            iterations, scanned, hit=0 if miss else 1, miss=miss
-        )
+        return dict(answer.value), self._index_result(answer.scanned, miss)
 
     def trusted(
         self, policy: "TrustPolicy", max_iterations: int | None = None
@@ -610,45 +576,15 @@ class StoreGraphQueries:
         """
         ready = self._ready_index()
         if ready is not None:
-            index, rsql, miss = ready
-            seeds: dict[str, object] = {}
-            conditions = []
-            for relation in rsql.edb_relations:
-                condition = policy.condition_for(relation)
-                if condition is None:
-                    if not policy.default_trust:
-                        seeds[relation] = SEED_NOTHING
-                    continue
-                seeds[relation] = condition
-                conditions.append((relation, condition))
-            distrusted = frozenset(policy.distrusted_mappings)
-            # Conditions key by object identity, and the cache entry
-            # holds strong references to them (below) so a collected
-            # callable's id cannot alias a new one.  Conditions are
-            # assumed pure — a closure over mutated state must not be
-            # reused across calls anyway.
-            key = (
-                "trusted",
-                policy.default_trust,
-                distrusted,
-                tuple(sorted((rel, id(cond)) for rel, cond in conditions)),
+            core, index, miss = ready
+            answer, _cached = core.trusted(
+                self.store.connection, index.epoch, policy
             )
-            cached = index.cached_result(key)
-            if cached is not None:
-                values, iterations, scanned, _refs = cached
-                return dict(values), self._result(iterations, scanned, hit=1)
-            values, iterations, scanned = self._annotate_indexed(
-                index, rsql, seeds, distrusted, max_iterations
-            )
-            index.cache_result(
-                key, values, iterations, scanned,
-                tuple(cond for _rel, cond in conditions),
-            )
-            return dict(values), self._result(
-                iterations, scanned, hit=0 if miss else 1, miss=miss
+            return dict(answer.value), self._index_result(
+                answer.scanned, miss
             )
         dsql = self._derivability_sql()
-        seeds = {}
+        seeds: dict[str, object] = {}
         for relation in dsql.edb_relations:
             condition = policy.condition_for(relation)
             if condition is None:
@@ -677,7 +613,14 @@ class StoreGraphQueries:
             raise KeyError(node)
         ready = self._ready_index()
         if ready is not None:
-            return self._lineage_indexed(node, *ready)
+            core, index, miss = ready
+            interval_ready = index.ensure_encoding()
+            answer, _cached = core.lineage(
+                self.store.connection, index.epoch, interval_ready, node
+            )
+            if answer.value is None:
+                raise KeyError(node)
+            return answer.value, self._index_result(answer.scanned, miss)
         lsql = self._lineage_sql()
         if node.relation not in lsql.relations:
             raise KeyError(node)
@@ -706,53 +649,6 @@ class StoreGraphQueries:
         finally:
             store.reset_graph_query(lsql)
         return leaves, self._result(iterations, scanned)
-
-    def _lineage_indexed(
-        self, node: TupleNode, index, rsql, miss: int
-    ) -> tuple[frozenset[TupleNode], EvaluationResult]:
-        """Indexed lineage: resolve the query row to its node id, fill
-        the ancestor closure (interval predicate or one recursive CTE),
-        and decode the leaf-relation slice of the closure."""
-        if node.relation not in rsql.relations:
-            raise KeyError(node)
-        store = self.store
-        schema = self.catalog[node.relation]
-        encoded = store.codec.encode_row(tuple(node.values))
-        condition = " AND ".join(
-            f"{_q(c)} IS ?" for c in schema.attribute_names
-        )
-        found = store.connection.execute(
-            store.prepared(
-                ("rowid", node.relation),
-                lambda: (
-                    f"SELECT rowid FROM {_q(node.relation)} "
-                    f"WHERE {condition}"
-                ),
-            ),
-            encoded,
-        ).fetchone()
-        if found is None:
-            raise KeyError(node)
-        key = ("lineage", node.relation, tuple(node.values))
-        cached = index.cached_result(key)
-        if cached is not None:
-            leaves, iterations, scanned = cached
-            return leaves, self._result(iterations, scanned, hit=1)
-        qid = index.id_base(node.relation) + int(found[0])
-        try:
-            index.fill_ancestors(qid)
-            scanned = index.closure_scanned()
-            leaves = frozenset(
-                TupleNode(relation, row)
-                for relation in rsql.edb_relations
-                for row in index.closure_leaf_rows(relation, self.catalog)
-            )
-        finally:
-            index.reset_temp_state()
-        index.cache_result(key, leaves, 1, scanned)
-        return leaves, self._result(
-            1, scanned, hit=0 if miss else 1, miss=miss
-        )
 
     def _walk_lineage(
         self,

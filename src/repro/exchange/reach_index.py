@@ -34,20 +34,22 @@ Design (documented in full in ``docs/graph-index.md``):
   general DAGs use a recursive-CTE closure over the integer edge
   set — still orders of magnitude cheaper than the slot-row walk.
 
-Queries over the index run as integer fixpoints/lookups in
-:class:`ReachabilityIndex` and are wired into
-:class:`~repro.exchange.graph_queries.StoreGraphQueries`; the unindexed
-paths survive untouched as the testing oracle (``use_index=False``).
+This module is the index's **write** side: the lowering, the schema,
+and every maintenance event.  Reads live in
+:mod:`repro.exchange.index_reads` — one pure-SELECT core that answers
+``lineage``/``derivability``/``trusted`` for the writer
+(:class:`~repro.exchange.graph_queries.StoreGraphQueries`) and the
+serving tier's read-only sessions alike; the unindexed relational
+walks survive untouched as the testing oracle (``use_index=False``).
 """
 
 from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.datalog.planner import CompiledRule, _assign_slots, _compile_term
-from repro.errors import EvaluationError
 from repro.exchange.sql_plans import (
     _ParamAllocator,
     _extractor_sql,
@@ -62,6 +64,7 @@ from repro.relational.instance import Catalog
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exchange.index_reads import IndexReadCore
     from repro.exchange.sql_executor import ExchangeStore
 
 #: node-id stride between relations: id = relno * REL_SHIFT + rowid.
@@ -78,46 +81,15 @@ PRUNE_FALLBACK_RATIO = 4
 #: a Python-side pass; the CTE path stays available regardless).
 ENCODING_CAP = 2_000_000
 
-#: per-relation cap on the decoded-node cache (ids + TupleNodes).
-NODE_CACHE_CAP = 200_000
-
-#: entries kept in the per-epoch query-result cache (FIFO).
-RESULT_CACHE_CAP = 64
-
 #: permanent index tables.
 REL_TABLE = "__ridx_rel"
 FIRE_TABLE = "__ridx_fire"
 BODY_TABLE = "__ridx_body"
 INFO_TABLE = "__ridx_info"
 
-#: TEMP work tables (connection-local, cleared between uses).
-_ID_TEMPS = ("__rq_live", "__rq_delta", "__rq_new", "__rq_anc", "__rq_dead")
-
-
-# -- read-path substrate -----------------------------------------------------
-#
-# Pure-SELECT shapes over the permanent index tables, shared between the
-# writer-side :class:`ReachabilityIndex` and the read-only sessions in
-# :mod:`repro.serve`.  Read-only (``mode=ro``) connections cannot create
-# the TEMP work tables above, so everything here must run as plain
-# SELECTs on an arbitrary connection.
-
-#: ancestor-or-self closure of one node as a recursive CTE.
-ANCESTOR_CTE_SQL = (
-    "WITH RECURSIVE anc(id) AS (VALUES(?) UNION "
-    f"SELECT b.body FROM {_q(FIRE_TABLE)} AS f "
-    f"JOIN {_q(BODY_TABLE)} AS b ON b.fid = f.fid "
-    "JOIN anc AS a ON f.head = a.id) "
-    "SELECT id FROM anc"
-)
-
-#: ``tin`` probe for one node in the interval encoding.
-INTERVAL_PROBE_SQL = f"SELECT tin FROM {_q(INFO_TABLE)} WHERE id = ?"
-
-#: ancestor-or-self window of a probe time in a tree-exact encoding.
-INTERVAL_WINDOW_SQL = (
-    f"SELECT id FROM {_q(INFO_TABLE)} WHERE tin <= ? AND tout >= ?"
-)
+#: TEMP work tables of deletion pruning (connection-local, emptied by
+#: the maintenance step that fills them), with their one key column.
+_PRUNE_TEMPS = (("__rq_dead", "id"), ("__rq_deadfid", "fid"))
 
 
 def load_relnos(connection: sqlite3.Connection) -> dict[str, int]:
@@ -128,74 +100,6 @@ def load_relnos(connection: sqlite3.Connection) -> dict[str, int]:
             f"SELECT name, relno FROM {_q(REL_TABLE)}"
         )
     }
-
-
-def load_edges(
-    connection: sqlite3.Connection,
-) -> tuple[dict[int, tuple[str, int]], dict[int, tuple[int, ...]]]:
-    """The full integer edge set from any connection.
-
-    Returns ``(fires, bodies)`` where ``fires[fid] = (rule, head_id)``
-    and ``bodies[fid]`` is the tuple of body node ids.  This is the
-    read-only counterpart of the TEMP-table fixpoint machinery: small
-    enough to hold in Python for resident working sets, and usable on
-    ``mode=ro`` connections that cannot write TEMP tables.
-    """
-    fires: dict[int, tuple[str, int]] = {}
-    for fid, rule, head in connection.execute(
-        f"SELECT fid, rule, head FROM {_q(FIRE_TABLE)}"
-    ):
-        fires[int(fid)] = (str(rule), int(head))
-    grouped: dict[int, list[int]] = {}
-    for fid, body in connection.execute(
-        f"SELECT fid, body FROM {_q(BODY_TABLE)}"
-    ):
-        grouped.setdefault(int(fid), []).append(int(body))
-    bodies = {fid: tuple(ids) for fid, ids in grouped.items()}
-    return fires, bodies
-
-
-def liveness_over_edges(
-    fires: dict[int, tuple[str, int]],
-    bodies: dict[int, tuple[int, ...]],
-    seed_ids: Iterable[int],
-    distrusted: Iterable[str] = (),
-) -> set[int]:
-    """Least liveness fixpoint over an in-memory edge set.
-
-    A node is live iff it is a seed or some fire (whose rule is not
-    distrusted) has it as head with every body node live — the same
-    semantics as :meth:`ReachabilityIndex.annotate_fixpoint`, computed
-    in Python so read-only sessions can run it without TEMP tables.
-    """
-    skip = set(distrusted)
-    incident: dict[int, list[int]] = {}
-    need: dict[int, int] = {}
-    live = set(seed_ids)
-    queue = list(live)
-    for fid, (rule, head) in fires.items():
-        if rule in skip:
-            continue
-        body = bodies.get(fid, ())
-        if not body:
-            # A fire with no recorded body is vacuously supported.
-            if head not in live:
-                live.add(head)
-                queue.append(head)
-            continue
-        need[fid] = len(body)
-        for node in body:
-            incident.setdefault(node, []).append(fid)
-    while queue:
-        node = queue.pop()
-        for fid in incident.get(node, ()):
-            need[fid] -= 1
-            if need[fid] == 0:
-                head = fires[fid][1]
-                if head not in live:
-                    live.add(head)
-                    queue.append(head)
-    return live
 
 
 # -- lowering ----------------------------------------------------------------
@@ -389,12 +293,9 @@ class ReachabilityIndex:
         #: relation reload): node ids are invalid even though the run
         #: itself would otherwise have been incremental.
         self._renumbered = False
-        #: per-relation decoded nodes [(id, TupleNode)], valid for
-        #: :attr:`_node_cache_epoch` only.
-        self._node_cache: dict[str, list] = {}
-        self._node_cache_epoch = -1
-        #: FIFO query-result cache: key -> (epoch, payload...).
-        self._result_cache: dict[object, tuple] = {}
+        #: the writer's read core (built by ``StoreGraphQueries``, kept
+        #: here so its per-epoch caches outlive the per-query objects).
+        self.read_core: "IndexReadCore | None" = None
 
     # -- persistent state ----------------------------------------------------
 
@@ -507,20 +408,11 @@ class ReachabilityIndex:
     def _ensure_temps(self) -> None:
         if self._temps_ready:
             return
-        conn = self.store.connection
-        for name in _ID_TEMPS:
-            conn.execute(
+        for name, column in _PRUNE_TEMPS:
+            self.store.connection.execute(
                 f"CREATE TEMP TABLE IF NOT EXISTS {_q(name)} "
-                "(id INTEGER PRIMARY KEY)"
+                f"({column} INTEGER PRIMARY KEY)"
             )
-        conn.execute(
-            'CREATE TEMP TABLE IF NOT EXISTS "__rq_distrust" '
-            "(rule TEXT PRIMARY KEY)"
-        )
-        conn.execute(
-            'CREATE TEMP TABLE IF NOT EXISTS "__rq_deadfid" '
-            "(fid INTEGER PRIMARY KEY)"
-        )
         self._temps_ready = True
 
     def relno(self, relation: str) -> int | None:
@@ -657,11 +549,6 @@ class ReachabilityIndex:
             self._finalize_epoch()
             span.set("fires", fires)
         return fires
-
-    def reset_temp_state(self) -> None:
-        """Clear the TEMP work tables after a query's verdict read."""
-        if self._temps_ready:
-            self._clear_ids(*_ID_TEMPS, "__rq_distrust", "__rq_deadfid")
 
     def on_row_deleted(self, relation: str, rowid: int) -> None:
         """Targeted maintenance for one deleted stored row (caller
@@ -858,187 +745,3 @@ class ReachabilityIndex:
                 info,
             )
         return True
-
-    # -- query substrate -----------------------------------------------------
-
-    def _clear_ids(self, *tables: str) -> None:
-        conn = self.store.connection
-        for table in tables:
-            conn.execute(f"DELETE FROM {_q(table)}")
-
-    def fill_ancestors(self, qid: int) -> None:
-        """Fill ``__rq_anc`` with the ancestor-or-self closure of the
-        node *qid* — via the interval predicate when the encoding is
-        tree-exact and covers the node, else one recursive CTE over
-        the integer edge set."""
-        self._ensure_temps()
-        conn = self.store.connection
-        self._clear_ids("__rq_anc")
-        if self.ensure_encoding():
-            row = conn.execute(INTERVAL_PROBE_SQL, (qid,)).fetchone()
-            if row is not None:
-                (t,) = row
-                conn.execute(
-                    'INSERT INTO "__rq_anc" ' + INTERVAL_WINDOW_SQL,
-                    (t, t),
-                )
-                return
-            # A stored node with no info row has no edges at all: its
-            # closure is itself.
-            conn.execute('INSERT INTO "__rq_anc" VALUES (?)', (qid,))
-            return
-        conn.execute('INSERT INTO "__rq_anc" ' + ANCESTOR_CTE_SQL, (qid,))
-
-    def annotate_fixpoint(
-        self,
-        seed: Callable[[str, int], int],
-        edb_relations: Sequence[str],
-        distrusted: Iterable[str] = (),
-        max_iterations: int | None = None,
-    ) -> tuple[int, int]:
-        """Integer liveness fixpoint over the index.
-
-        *seed* stages each EDB relation's seed ids into
-        ``__rq_live``/``__rq_delta`` (given the relation and its id
-        base; returns the count).  Each round promotes every fire whose
-        rule is trusted, whose body touches the delta, and whose body
-        ids are all live.  Returns ``(iterations, live_fires)`` —
-        matching the unindexed fixpoint's ``(iterations,
-        pm_rows_scanned)`` shape.
-        """
-        self._ensure_temps()
-        conn = self.store.connection
-        self._clear_ids("__rq_live", "__rq_delta", "__rq_new", "__rq_distrust")
-        seeded = 0
-        for relation in edb_relations:
-            base = self.id_base(relation)
-            if base is None:
-                continue
-            seeded += seed(relation, base)
-        conn.executemany(
-            'INSERT OR IGNORE INTO "__rq_distrust" VALUES (?)',
-            [(name,) for name in distrusted],
-        )
-        round_sql = (
-            'INSERT OR IGNORE INTO "__rq_new" '
-            f"SELECT f.head FROM {_q(FIRE_TABLE)} AS f "
-            f"WHERE f.fid IN (SELECT b.fid FROM {_q(BODY_TABLE)} AS b "
-            '  JOIN "__rq_delta" AS d ON b.body = d.id) '
-            'AND f.rule NOT IN (SELECT rule FROM "__rq_distrust") '
-            'AND NOT EXISTS (SELECT 1 FROM "__rq_live" AS l '
-            "  WHERE l.id = f.head) "
-            f'AND NOT EXISTS (SELECT 1 FROM {_q(BODY_TABLE)} AS b2 '
-            "  WHERE b2.fid = f.fid AND NOT EXISTS ("
-            '    SELECT 1 FROM "__rq_live" AS l2 WHERE l2.id = b2.body))'
-        )
-        iterations = 0
-        delta = seeded
-        while delta:
-            iterations += 1
-            if max_iterations is not None and iterations > max_iterations:
-                raise EvaluationError(
-                    f"derivability fixpoint did not converge within "
-                    f"{max_iterations} iterations"
-                )
-            conn.execute(round_sql)
-            conn.execute(
-                'INSERT OR IGNORE INTO "__rq_live" '
-                'SELECT id FROM "__rq_new"'
-            )
-            self._clear_ids("__rq_delta")
-            conn.execute(
-                'INSERT INTO "__rq_delta" SELECT id FROM "__rq_new"'
-            )
-            (delta,) = conn.execute(
-                'SELECT COUNT(*) FROM "__rq_new"'
-            ).fetchone()
-            self._clear_ids("__rq_new")
-        (live_fires,) = conn.execute(
-            f"SELECT COUNT(*) FROM {_q(FIRE_TABLE)} AS f "
-            'WHERE f.rule NOT IN (SELECT rule FROM "__rq_distrust") '
-            f"AND NOT EXISTS (SELECT 1 FROM {_q(BODY_TABLE)} AS b "
-            "  WHERE b.fid = f.fid AND NOT EXISTS ("
-            '    SELECT 1 FROM "__rq_live" AS l WHERE l.id = b.body))'
-        ).fetchone()
-        return iterations, int(live_fires)
-
-    def live_ids(self, relation: str) -> set[int]:
-        """The ``__rq_live`` ids in *relation*'s id range (PK range
-        scan on the temp table)."""
-        base = self.id_base(relation)
-        if base is None:
-            return set()
-        return {
-            int(i)
-            for (i,) in self.store.connection.execute(
-                'SELECT id FROM "__rq_live" WHERE id >= ? AND id < ?',
-                (base, base + REL_SHIFT),
-            )
-        }
-
-    def closure_scanned(self) -> int:
-        """Fires whose head is in the filled ancestor closure — the
-        indexed analogue of the walk's visited-firing count."""
-        (scanned,) = self.store.connection.execute(
-            f"SELECT COUNT(*) FROM {_q(FIRE_TABLE)} "
-            'WHERE head IN (SELECT id FROM "__rq_anc")'
-        ).fetchone()
-        return int(scanned)
-
-    def closure_leaf_rows(
-        self, relation: str, catalog: Catalog
-    ) -> list:
-        """Decoded rows of *relation* in the ancestor closure."""
-        base = self.id_base(relation)
-        if base is None:
-            return []
-        schema = catalog[relation]
-        codec = self.store.codec
-        cursor = self.store.connection.execute(
-            f"SELECT r.* FROM {_q(relation)} AS r "
-            'JOIN "__rq_anc" AS a ON a.id = r.rowid + ?',
-            (base,),
-        )
-        return [codec.decode_row(raw, schema) for raw in cursor]
-
-    # -- caches --------------------------------------------------------------
-
-    def nodes_with_ids(self, relation: str, catalog: Catalog) -> list:
-        """``[(id, TupleNode), ...]`` for every stored row of
-        *relation*, cached per epoch (the decode is the dominant cost
-        of whole-instance annotation queries; relations above
-        :data:`NODE_CACHE_CAP` rows are streamed uncached)."""
-        from repro.provenance.graph import TupleNode
-
-        epoch = self.epoch
-        if self._node_cache_epoch != epoch:
-            self._node_cache.clear()
-            self._node_cache_epoch = epoch
-        cached = self._node_cache.get(relation)
-        if cached is not None:
-            return cached
-        base = self.id_base(relation)
-        schema = catalog[relation]
-        codec = self.store.codec
-        rows = [
-            (base + rowid, TupleNode(relation, codec.decode_row(raw, schema)))
-            for rowid, *raw in self.store.connection.execute(
-                f"SELECT rowid, * FROM {_q(relation)}"
-            )
-        ]
-        if len(rows) <= NODE_CACHE_CAP:
-            self._node_cache[relation] = rows
-        return rows
-
-    def cached_result(self, key: object) -> tuple | None:
-        """The cached payload for *key* if it was stored under the
-        current epoch, else None."""
-        entry = self._result_cache.get(key)
-        if entry is not None and entry[0] == self.epoch:
-            return entry[1:]
-        return None
-
-    def cache_result(self, key: object, *payload: object) -> None:
-        if len(self._result_cache) >= RESULT_CACHE_CAP:
-            self._result_cache.pop(next(iter(self._result_cache)))
-        self._result_cache[key] = (self.epoch, *payload)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 import sqlite3
-from typing import Callable, Iterable, Mapping as TMapping
+from typing import Iterable, Mapping as TMapping
 
 from repro.cdss.mapping import SchemaMapping
 from repro.datalog.evaluation import EvaluationResult
@@ -43,6 +43,7 @@ from repro.datalog.terms import SkolemValue
 from repro.errors import EvaluationError, ExchangeError
 from repro.exchange.cache import CompiledExchangeProgram
 from repro.exchange.graph_queries import LineageSQL, run_liveness_fixpoint
+from repro.exchange.index_reads import PreparedSQL
 from repro.exchange.reach_index import ReachabilityIndex, lower_reach_program
 from repro.exchange.sql_plans import (
     DerivabilitySQL,
@@ -148,7 +149,7 @@ class ExchangeStore:
         # re-execute a small set of SQL strings on every call, and
         # sqlite3 skips re-preparing a statement whose exact text is
         # cached — the "prepared statement reuse" half of the index's
-        # warm-query latency (see :meth:`prepared`).
+        # warm-query latency (see :attr:`prepared`).
         self.connection = sqlite3.connect(self.path, cached_statements=512)
         self.connection.execute("PRAGMA synchronous = OFF")
         self.connection.execute("PRAGMA journal_mode = MEMORY")
@@ -173,10 +174,9 @@ class ExchangeStore:
         #: pass per program suffices — repeated graph queries skip the
         #: whole CREATE TABLE IF NOT EXISTS sweep).
         self._schema_ready: set[str] = set()
-        #: built-SQL cache backing :meth:`prepared`, plus its counters.
-        self._prepared: dict[object, str] = {}
-        self.prepared_hits = 0
-        self.prepared_misses = 0
+        #: ``prepared(key, builder)``: the built-SQL cache of the hot
+        #: index-read statements on this connection.
+        self.prepared = PreparedSQL()
         self._reach_index: ReachabilityIndex | None = None
         # The dirty-run flag lives in the database file, not on this
         # object: an aborted resident run must still trigger recovery
@@ -227,12 +227,14 @@ class ExchangeStore:
         if mode not in ("PASSIVE", "FULL", "RESTART", "TRUNCATE"):
             raise ExchangeError(f"unknown checkpoint mode: {mode!r}")
         if self.connection.in_transaction:
-            # Graph queries populate TEMP work tables, which opens an
-            # implicit transaction the dbapi never closes; a checkpoint
-            # on a connection with an open transaction raises instead
-            # of reporting busy.  All real mutations commit at their
-            # own boundaries, so ending the dangling transaction here
-            # is safe — and required for the discipline to work.
+            # A checkpoint on a connection with an open transaction
+            # raises "database table is locked" instead of reporting
+            # busy.  Index reads are pure SELECTs and open none, but
+            # the oracle queries and deletion pruning still stage rows
+            # in work tables, and a stray DML statement on those leaves
+            # an implicit transaction the dbapi never closes.  All
+            # real mutations commit at their own boundaries, so ending
+            # a dangling transaction here is safe.
             self.connection.commit()
         row = self.connection.execute(
             f"PRAGMA wal_checkpoint({mode})"
@@ -287,22 +289,15 @@ class ExchangeStore:
             self._reach_index = ReachabilityIndex(self)
         return self._reach_index
 
-    def prepared(self, key: object, builder: "Callable[[], str]") -> str:
-        """The SQL string built by *builder*, cached under *key*.
+    @property
+    def prepared_hits(self) -> int:
+        """Query SQL texts reused from :attr:`prepared`."""
+        return self.prepared.hits
 
-        Reusing the identical string object lets sqlite3's
-        statement cache (sized in ``__init__``) skip re-preparing it —
-        the per-call overhead that dominates sub-millisecond indexed
-        graph queries.  Keys follow the lowering caches' convention:
-        a tuple of (purpose, relation/rule, ...) identifying the shape.
-        """
-        sql = self._prepared.get(key)
-        if sql is None:
-            sql = self._prepared[key] = builder()
-            self.prepared_misses += 1
-        else:
-            self.prepared_hits += 1
-        return sql
+    @property
+    def prepared_misses(self) -> int:
+        """Query SQL texts :attr:`prepared` had to build."""
+        return self.prepared.misses
 
     # -- schema ------------------------------------------------------------
 

@@ -22,9 +22,11 @@ The consistency protocol (docs/serving.md spells out why it is sound):
 5. Answer, then ``ROLLBACK`` so the snapshot never outlives the query
    (a held snapshot is what makes writer checkpoints report busy).
 
-Read-only connections cannot create TEMP tables, so the queries here
-are pure SELECTs (shapes shared with the writer via
-:mod:`repro.exchange.reach_index`) plus Python-side fixpoints.
+All index reads are pure SELECTs, computed by the one read core the
+writer uses too (:class:`repro.exchange.index_reads.IndexReadCore`);
+this module adds only what is serving-specific: the read-only
+connection, the snapshot protocol above, retry/backoff, and the
+``serve.*`` stats.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 from urllib.parse import quote
 
 from repro.errors import (
@@ -42,27 +44,23 @@ from repro.errors import (
     ServeUnavailable,
     StaleSnapshotError,
 )
-from repro.exchange.reach_index import (
-    ANCESTOR_CTE_SQL,
-    INTERVAL_PROBE_SQL,
-    INTERVAL_WINDOW_SQL,
-    REL_SHIFT,
-    RESULT_CACHE_CAP,
-    liveness_over_edges,
-    load_edges,
-    load_relnos,
+from repro.exchange.index_reads import (
+    IndexAnswer,
+    IndexReadCore,
+    PreparedSQL,
 )
 from repro.exchange.sql_executor import normalize_store_path
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.provenance.graph import TupleNode
 from repro.relational.instance import Catalog
-from repro.relational.schema import is_local_name
 from repro.serve.retry import BackoffPolicy, is_busy_error, run_with_retry
-from repro.storage.encoding import ValueCodec, quote_identifier as _q
+from repro.storage.encoding import ValueCodec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cdss.trust import TrustPolicy
+
+T = TypeVar("T")
 
 __all__ = [
     "ReadStats",
@@ -77,13 +75,6 @@ __all__ = [
 DEFAULT_RETRY = BackoffPolicy(
     attempts=40, base_delay=0.001, multiplier=2.0, max_delay=0.05
 )
-
-#: rows fetched per chunked ``rowid IN (...)`` leaf lookup.
-_LEAF_CHUNK = 256
-
-#: sentinel cached for lineage probes on unknown/unstored nodes, so a
-#: repeated miss is a cache hit that re-raises ``KeyError``.
-_KEY_ERROR = object()
 
 _META_SQL = (
     'SELECT key, value FROM "__meta" WHERE key IN '
@@ -127,26 +118,6 @@ class ReadStats:
     path: str
 
 
-class _EpochCache:
-    """Everything a session memoizes for one observed epoch."""
-
-    __slots__ = ("epoch", "results", "nodes", "edges", "refs")
-
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        #: query key -> answer (FIFO-capped like the writer's cache).
-        self.results: dict[object, object] = {}
-        #: relation -> [(node id, TupleNode), ...]
-        self.nodes: dict[str, list[tuple[int, TupleNode]]] = {}
-        #: (fires, bodies) from the index edge tables, or None.
-        self.edges: (
-            tuple[dict[int, tuple[str, int]], dict[int, tuple[int, ...]]]
-            | None
-        ) = None
-        #: strong refs keeping id()-keyed trust conditions alive.
-        self.refs: list[object] = []
-
-
 class ReaderSession:
     """One read-only connection serving index queries at its snapshot
     epoch.
@@ -183,12 +154,8 @@ class ReaderSession:
         self.last_read: ReadStats | None = None
         self.closed = False
         self._conn: sqlite3.Connection | None = None
-        self._codec = ValueCodec()
-        self._relnos: dict[str, int] = {}
-        self._cache: _EpochCache | None = None
-        self._prepared: dict[object, str] = {}
-        self.prepared_hits = 0
-        self.prepared_misses = 0
+        self._prepared = PreparedSQL()
+        self._core = IndexReadCore(catalog, ValueCodec(), self._prepared)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -265,45 +232,31 @@ class ReaderSession:
             tree_exact=bool(int(meta.get("index_tree_exact") or 0)),
         )
 
-    def _epoch_cache(self, state: SnapshotState) -> _EpochCache:
-        cache = self._cache
-        if cache is None or cache.epoch != state.epoch:
-            if cache is not None:
-                self.metrics.add("serve.snapshot_refreshes")
-            cache = _EpochCache(state.epoch)
-            self._cache = cache
-            # New relations may have been registered since the last
-            # epoch; re-read the relno map under the fresh snapshot.
-            self._relnos = {}
-        return cache
+    @property
+    def prepared_hits(self) -> int:
+        """Query SQL texts reused from this session's cache."""
+        return self._prepared.hits
 
-    def _prepared_sql(self, key: object, build: Callable[[], str]) -> str:
-        sql = self._prepared.get(key)
-        if sql is None:
-            self.prepared_misses += 1
-            sql = build()
-            self._prepared[key] = sql
-        else:
-            self.prepared_hits += 1
-        return sql
+    @property
+    def prepared_misses(self) -> int:
+        """Query SQL texts this session had to build."""
+        return self._prepared.misses
 
     # -- query driver --------------------------------------------------------
 
     def _answer(
         self,
         kind: str,
-        key: object,
-        compute: Callable[
-            [sqlite3.Connection, SnapshotState, _EpochCache],
-            tuple[object, str],
+        query: Callable[
+            [sqlite3.Connection, SnapshotState], tuple[IndexAnswer[T], bool]
         ],
-    ) -> object:
-        """Pin a servable snapshot (with retry), serve *key* from the
-        epoch cache or *compute*, and record :attr:`last_read`."""
+    ) -> T:
+        """Pin a servable snapshot (with retry), run *query* on the
+        read core at the observed epoch, and record :attr:`last_read`."""
         started = time.perf_counter()
         retries = 0
 
-        def attempt() -> tuple[object, SnapshotState, bool, str]:
+        def attempt() -> tuple[IndexAnswer[T], SnapshotState, bool]:
             with self._pin() as conn:
                 state = self._read_state(conn)
                 if self.on_pinned is not None:
@@ -314,14 +267,10 @@ class ReaderSession:
                         f"{' (dirty run)' if state.dirty else ''} "
                         f"at epoch {state.epoch}"
                     )
-                cache = self._epoch_cache(state)
-                if key in cache.results:
-                    return cache.results[key], state, True, "cache"
-                value, path = compute(conn, state, cache)
-                if len(cache.results) >= RESULT_CACHE_CAP:
-                    cache.results.pop(next(iter(cache.results)))
-                cache.results[key] = value
-                return value, state, False, path
+                if self._core.epoch not in (None, state.epoch):
+                    self.metrics.add("serve.snapshot_refreshes")
+                answer, hit = query(conn, state)
+                return answer, state, hit
 
         def on_retry(attempt_no: int, error: BaseException) -> None:
             nonlocal retries
@@ -334,7 +283,7 @@ class ReaderSession:
             self.metrics.add(name)
 
         try:
-            value, state, hit, path = run_with_retry(
+            answer, state, hit = run_with_retry(
                 attempt,
                 self.retry,
                 retryable=lambda e: (
@@ -349,6 +298,7 @@ class ReaderSession:
                 f"attempts: {error}"
             ) from error
         wall = time.perf_counter() - started
+        path = "cache" if hit else answer.path
         self.metrics.add("serve.queries")
         if hit:
             self.metrics.add("serve.cache_hits")
@@ -363,57 +313,9 @@ class ReaderSession:
         with self.tracer.span("serve.query") as span:
             span.set("kind", kind).set("epoch", state.epoch)
             span.set("cache_hit", hit).set("path", path)
-        return value
+        return answer.value
 
-    # -- shared read shapes --------------------------------------------------
-
-    def _relno(self, conn: sqlite3.Connection, relation: str) -> int | None:
-        if relation not in self._relnos:
-            self._relnos = load_relnos(conn)
-        return self._relnos.get(relation)
-
-    def _covered(self, conn: sqlite3.Connection) -> list[str]:
-        """Catalog relations the index numbers, in catalog order."""
-        if not self._relnos:
-            self._relnos = load_relnos(conn)
-        return [
-            name for name in self.catalog.names() if name in self._relnos
-        ]
-
-    def _nodes(
-        self,
-        conn: sqlite3.Connection,
-        cache: _EpochCache,
-        relation: str,
-        relno: int,
-    ) -> list[tuple[int, TupleNode]]:
-        nodes = cache.nodes.get(relation)
-        if nodes is None:
-            base = relno * REL_SHIFT
-            schema = self.catalog[relation]
-            codec = self._codec
-            sql = self._prepared_sql(
-                ("nodes", relation),
-                lambda: f"SELECT rowid, * FROM {_q(relation)}",
-            )
-            nodes = [
-                (
-                    base + rowid,
-                    TupleNode(relation, codec.decode_row(raw, schema)),
-                )
-                for rowid, *raw in conn.execute(sql)
-            ]
-            cache.nodes[relation] = nodes
-        return nodes
-
-    def _edges(
-        self, conn: sqlite3.Connection, cache: _EpochCache
-    ) -> tuple[dict[int, tuple[str, int]], dict[int, tuple[int, ...]]]:
-        if cache.edges is None:
-            cache.edges = load_edges(conn)
-        return cache.edges
-
-    # -- lineage -------------------------------------------------------------
+    # -- the three queries ---------------------------------------------------
 
     def lineage(self, node: TupleNode) -> frozenset[TupleNode]:
         """Set of local base tuples *node* derives from (Q6), at the
@@ -421,238 +323,41 @@ class ReaderSession:
 
         Raises :class:`KeyError` when *node* is not a stored tuple —
         the same contract as :meth:`repro.cdss.system.CDSS.lineage`.
+        A repeated miss is a cache hit that re-raises.
         """
-        key = ("lineage", node.relation, tuple(node.values))
         value = self._answer(
             "lineage",
-            key,
-            lambda conn, state, cache: self._lineage(
-                conn, state, cache, node
+            lambda conn, state: self._core.lineage(
+                conn, state.epoch, state.interval_ready, node
             ),
         )
-        if value is _KEY_ERROR:
+        if value is None:
             raise KeyError(node)
-        if not isinstance(value, frozenset):  # pragma: no cover - invariant
-            raise ServeError("lineage cache corrupted")
         return value
-
-    def _lineage(
-        self,
-        conn: sqlite3.Connection,
-        state: SnapshotState,
-        cache: _EpochCache,
-        node: TupleNode,
-    ) -> tuple[object, str]:
-        if node.relation not in self.catalog:
-            return _KEY_ERROR, "miss"
-        relno = self._relno(conn, node.relation)
-        if relno is None:
-            # Registration precedes every maintained epoch; a missing
-            # relno with rows present means this snapshot predates the
-            # index — not servable, retry.
-            if self._stored_rowid(conn, node) is None:
-                return _KEY_ERROR, "miss"
-            raise StaleSnapshotError(
-                f"{node.relation} not registered in the index"
-            )
-        rowid = self._stored_rowid(conn, node)
-        if rowid is None:
-            return _KEY_ERROR, "miss"
-        qid = relno * REL_SHIFT + rowid
-        if state.interval_ready:
-            closure, path = self._interval_closure(conn, qid)
-        else:
-            closure, path = self._cte_closure(conn, qid)
-        leaves: set[TupleNode] = set()
-        for relation in self._covered(conn):
-            if not is_local_name(relation):
-                continue
-            leaf_relno = self._relnos[relation]
-            base = leaf_relno * REL_SHIFT
-            rowids = [
-                nid - base
-                for nid in closure
-                if base <= nid < base + REL_SHIFT
-            ]
-            if rowids:
-                leaves.update(
-                    self._leaf_nodes(conn, cache, relation, rowids)
-                )
-        return frozenset(leaves), path
-
-    def _stored_rowid(
-        self, conn: sqlite3.Connection, node: TupleNode
-    ) -> int | None:
-        schema = self.catalog[node.relation]
-        encoded = self._codec.encode_row(tuple(node.values))
-        sql = self._prepared_sql(
-            ("rowid", node.relation),
-            lambda: (
-                f"SELECT rowid FROM {_q(node.relation)} WHERE "
-                + " AND ".join(
-                    f"{_q(c)} IS ?" for c in schema.attribute_names
-                )
-            ),
-        )
-        try:
-            found = conn.execute(sql, encoded).fetchone()
-        except sqlite3.OperationalError as error:
-            if "no such table" in str(error):
-                return None
-            raise
-        return None if found is None else int(found[0])
-
-    def _interval_closure(
-        self, conn: sqlite3.Connection, qid: int
-    ) -> tuple[set[int], str]:
-        row = conn.execute(INTERVAL_PROBE_SQL, (qid,)).fetchone()
-        if row is None:
-            # No info row: the node has no edges; closure is itself.
-            return {qid}, "interval"
-        (t,) = row
-        ids = {
-            int(i) for (i,) in conn.execute(INTERVAL_WINDOW_SQL, (t, t))
-        }
-        return ids, "interval"
-
-    def _cte_closure(
-        self, conn: sqlite3.Connection, qid: int
-    ) -> tuple[set[int], str]:
-        ids = {int(i) for (i,) in conn.execute(ANCESTOR_CTE_SQL, (qid,))}
-        return ids, "cte"
-
-    def _leaf_nodes(
-        self,
-        conn: sqlite3.Connection,
-        cache: _EpochCache,
-        relation: str,
-        rowids: Sequence[int],
-    ) -> list[TupleNode]:
-        # If the whole relation is already decoded for this epoch, slice
-        # it instead of re-querying.
-        cached = cache.nodes.get(relation)
-        if cached is not None:
-            base = self._relnos[relation] * REL_SHIFT
-            wanted = {base + rowid for rowid in rowids}
-            return [node for nid, node in cached if nid in wanted]
-        schema = self.catalog[relation]
-        codec = self._codec
-        out: list[TupleNode] = []
-        for start in range(0, len(rowids), _LEAF_CHUNK):
-            chunk = list(rowids[start:start + _LEAF_CHUNK])
-            size = len(chunk)
-            sql = self._prepared_sql(
-                ("leaves", relation, size),
-                lambda relation=relation, size=size: (
-                    f"SELECT * FROM {_q(relation)} WHERE rowid IN "
-                    f"({', '.join('?' for _ in range(size))})"
-                ),
-            )
-            out.extend(
-                TupleNode(relation, codec.decode_row(raw, schema))
-                for raw in conn.execute(sql, chunk)
-            )
-        return out
-
-    # -- derivability / trust ------------------------------------------------
 
     def derivability(self) -> dict[TupleNode, bool]:
         """Derivability annotation of every stored tuple (Q5) at the
         session's observed epoch."""
-        value = self._answer(
-            "derivability",
-            ("derivability",),
-            lambda conn, state, cache: (
-                self._annotate(conn, cache, None),
-                "fixpoint",
-            ),
+        return dict(
+            self._answer(
+                "derivability",
+                lambda conn, state: self._core.derivability(
+                    conn, state.epoch
+                ),
+            )
         )
-        if not isinstance(value, dict):  # pragma: no cover - invariant
-            raise ServeError("derivability cache corrupted")
-        return dict(value)
 
     def trusted(self, policy: "TrustPolicy") -> dict[TupleNode, bool]:
         """Trust annotation of every stored tuple under *policy* (Q7)
         at the session's observed epoch."""
-        distrusted = frozenset(policy.distrusted_mappings)
-        conditions: list[tuple[str, object]] = []
-        for relation in self.catalog.names():
-            if not is_local_name(relation):
-                continue
-            condition = policy.condition_for(relation)
-            if condition is not None:
-                conditions.append((relation, condition))
-        key = (
-            "trusted",
-            policy.default_trust,
-            distrusted,
-            tuple(
-                (relation, id(condition))
-                for relation, condition in sorted(
-                    conditions, key=lambda item: item[0]
-                )
-            ),
-        )
-
-        def compute(
-            conn: sqlite3.Connection,
-            state: SnapshotState,
-            cache: _EpochCache,
-        ) -> tuple[object, str]:
-            # The key holds id()s of the conditions; pin the objects so
-            # a collected callable's id cannot alias a new one.
-            cache.refs.extend(condition for _, condition in conditions)
-            return self._annotate(conn, cache, policy), "fixpoint"
-
-        value = self._answer("trusted", key, compute)
-        if not isinstance(value, dict):  # pragma: no cover - invariant
-            raise ServeError("trusted cache corrupted")
-        return dict(value)
-
-    def _annotate(
-        self,
-        conn: sqlite3.Connection,
-        cache: _EpochCache,
-        policy: "TrustPolicy | None",
-    ) -> dict[TupleNode, bool]:
-        covered = self._covered(conn)
-        seeds: set[int] = set()
-        for relation in covered:
-            if not is_local_name(relation):
-                continue
-            relno = self._relnos[relation]
-            base = relno * REL_SHIFT
-            condition = (
-                None if policy is None else policy.condition_for(relation)
+        return dict(
+            self._answer(
+                "trusted",
+                lambda conn, state: self._core.trusted(
+                    conn, state.epoch, policy
+                ),
             )
-            if condition is None:
-                if policy is not None and not policy.default_trust:
-                    continue
-                sql = self._prepared_sql(
-                    ("seed", relation),
-                    lambda relation=relation: (
-                        f"SELECT rowid FROM {_q(relation)}"
-                    ),
-                )
-                seeds.update(base + int(r) for (r,) in conn.execute(sql))
-            else:
-                seeds.update(
-                    nid
-                    for nid, node in self._nodes(conn, cache, relation, relno)
-                    if condition(node.values)
-                )
-        fires, bodies = self._edges(conn, cache)
-        distrusted: frozenset[str] = (
-            frozenset() if policy is None
-            else frozenset(policy.distrusted_mappings)
         )
-        live = liveness_over_edges(fires, bodies, seeds, distrusted)
-        values: dict[TupleNode, bool] = {}
-        for relation in covered:
-            relno = self._relnos[relation]
-            for nid, node in self._nodes(conn, cache, relation, relno):
-                values[node] = nid in live
-        return values
 
 
 class ReaderPool:

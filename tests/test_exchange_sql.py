@@ -458,9 +458,20 @@ class TestResidentMode:
             system.exchange(engine="memory", resident=True)
 
     def test_mode_is_sticky(self, tmp_path):
-        resident, _ = self.build_pair(tmp_path)
+        resident, plain = self.build_pair(tmp_path)
+        # Explicit conflicting arguments are refused...
         with pytest.raises(ExchangeError):
-            resident.exchange(engine="sqlite")
+            resident.exchange(engine="sqlite", resident=False)
+        with pytest.raises(ExchangeError):
+            resident.exchange(engine="memory")
+        # ...while unspecified ones continue on the pinned store.
+        for system in (resident, plain):
+            system.insert_local("A", (3, "sn3", 9))
+        r = resident.exchange()
+        plain.exchange(engine="sqlite")
+        assert r.engine == "sqlite" and r.rows_mirrored == 1
+        assert r.inserted == plain.last_exchange.inserted
+        assert resident.exchange(engine="sqlite").rows_mirrored == 0
         _, plain = example_twins()
         insert_example_data(plain)
         plain.exchange(engine="sqlite")
@@ -1208,18 +1219,20 @@ class TestResidentGraphQueries:
     def test_queries_clear_work_tables(self, tmp_path):
         # Ancestor closures and live sets can rival the instance in
         # size; they must not linger after the answer is read.  The
-        # indexed paths work in the __rq_* temp tables; the legacy
+        # indexed paths are pure SELECTs and stage nothing; deletion
+        # pruning empties its __rq_* temp tables itself; the legacy
         # paths keep their per-relation work-table contract.
         from repro.exchange.graph_queries import StoreGraphQueries
-        from repro.exchange.reach_index import _ID_TEMPS
+        from repro.exchange.reach_index import _PRUNE_TEMPS
         from repro.exchange.sql_plans import anc_table, live_table
 
         memory, resident = build_resident_deletion_pair(tmp_path)
-        node = sorted(memory.graph.tuples_in("O"))[0]
+        resident.delete_local("A", (1, "sn1", 7))
+        resident.propagate_deletions()
+        node = sorted(resident.derivability())[0]
         resident.lineage(node)
-        resident.derivability()
         store = resident.exchange_store
-        for table in _ID_TEMPS:
+        for table, _column in _PRUNE_TEMPS:
             assert store.count(table) == 0, table
         program, _ = resident.plan_cache.fetch(resident.program())
         legacy = StoreGraphQueries(

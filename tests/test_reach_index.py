@@ -87,6 +87,27 @@ class TestIndexedQueryAnswers:
         assert resident.trusted(policy) == legacy.trusted(policy)[0]
         assert legacy.store.meta_get("index_state") == "current"
 
+    def test_indexed_queries_are_pure_selects(self, tmp_path):
+        # Index reads stage nothing: no TEMP work table is created and
+        # no implicit transaction is left open on the writer connection
+        # (one would make a later wal_checkpoint raise "table is
+        # locked" instead of reporting busy).
+        memory, resident = build_resident_deletion_pair(tmp_path)
+        resident.lineage(o_node(memory))
+        resident.derivability()
+        resident.trusted(distrusting_policy())
+        conn = resident.exchange_store.connection
+        assert conn.in_transaction is False
+        temps = {
+            name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_temp_master"
+            )
+        }
+        assert not temps & {
+            "__rq_live", "__rq_delta", "__rq_new", "__rq_anc",
+            "__rq_distrust",
+        }
+
     def test_repeat_queries_answer_from_the_epoch_cache(self, tmp_path):
         memory, resident = build_resident_deletion_pair(tmp_path)
         first = resident.derivability()
@@ -282,6 +303,10 @@ class TestPreparedStatements:
         store = resident.exchange_store
         misses = store.prepared_misses
         assert misses > 0
+        # A repeat at the same epoch is a cache hit and runs no SQL at
+        # all; after an epoch bump the same probe recomputes through
+        # the SQL text built the first time.
+        store.reach_index.note_content_shipped()
         resident.lineage(o_node(memory))
         assert store.prepared_misses == misses
         assert store.prepared_hits > 0

@@ -286,6 +286,26 @@ class TestReaderSession:
             assert again == first
             assert reader.metrics.value("serve.cache_hits") == 1
 
+    def test_session_caches_die_with_the_session(self, tmp_path):
+        # The read core must not point back at its session: a
+        # reference cycle would park every dropped session's decoded
+        # nodes and edge set on the heap until the cyclic collector
+        # ran (measured as +5% peak RSS under epoch churn).
+        import gc
+        import weakref
+
+        system, path = resident_example(tmp_path)
+        gc.disable()
+        try:
+            reader = ReaderSession(path, system.catalog)
+            reader.derivability()
+            core = weakref.ref(reader._core)
+            reader.close()
+            del reader
+            assert core() is None
+        finally:
+            gc.enable()
+
     def test_connection_is_read_only(self, tmp_path):
         system, path = resident_example(tmp_path)
         with ReaderSession(path, system.catalog) as reader:
@@ -335,13 +355,8 @@ class TestReaderSession:
         sleeps = []
         retry = BackoffPolicy(attempts=4, base_delay=0.001)
         with ReaderSession(path, system.catalog, retry=retry) as reader:
-            reader._connect()  # open before patching sleep into _answer
             with pytest.raises(ServeUnavailable, match="no servable"):
-                reader._answer(
-                    "derivability",
-                    ("derivability",),
-                    lambda conn, state, cache: ({}, "fixpoint"),
-                )
+                reader.derivability()
             assert reader.metrics.value("serve.stale_retries") == 3
             assert reader.metrics.value("serve.unavailable") == 1
             # Restore and the same session serves again.

@@ -1,13 +1,14 @@
-"""Property-based cross-check of the serving tier's readers.
+"""Property-based cross-check of every index-backed answer.
 
 Random interleavings of writer operations (insert / exchange / delete /
-propagate) with reader queries over chain and branched topologies: a
-persistent read-only :class:`ReaderSession` must answer every
-``lineage`` / ``derivability`` / ``trusted`` query exactly like the
-unindexed relational oracle at the epoch the reader observes — across
-epoch drift, per-epoch cache reuse, and index invalidation (a stale
-index makes the reader *refuse*, never answer wrongly, until the
-writer's next indexed query rebuilds it).
+propagate) with queries over chain and branched topologies: the
+writer's own indexed queries and persistent read-only
+:class:`ReaderSession` instances run the same read core, and each must
+answer every ``lineage`` / ``derivability`` / ``trusted`` query exactly
+like the unindexed relational oracle at the same epoch — across epoch
+drift, per-epoch cache reuse, and index invalidation (a stale index
+makes a reader *refuse*, never answer wrongly, until the writer's next
+indexed query rebuilds it).
 """
 
 import tempfile
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.cdss import CDSS, Peer, TrustPolicy
 from repro.errors import ServeUnavailable
 from repro.exchange.graph_queries import StoreGraphQueries
+from repro.provenance.graph import TupleNode
 from repro.relational import RelationSchema
 from repro.relational.schema import is_local_name
 from repro.serve import BackoffPolicy, ReaderSession
@@ -64,9 +66,10 @@ def stored_rows(resident, relation):
 
 
 def compare_with_oracle(resident, readers, pick, distrusted):
-    """Every reader answer equals the unindexed oracle's, at the epoch
-    both observe (the writer is quiescent between ops, so the latest
-    epoch is the only servable one)."""
+    """The writer's indexed answers and every reader's equal the
+    unindexed oracle's, at the epoch all observe (the writer is
+    quiescent between ops, so the latest epoch is the only servable
+    one)."""
     store = resident.exchange_store
     if store.meta_get("index_state") != "current":
         # Invalidation (large deletion cone): the reader must refuse
@@ -90,25 +93,31 @@ def compare_with_oracle(resident, readers, pick, distrusted):
         if not is_local_name(node.relation)
     )
     probe = nodes[pick % len(nodes)] if nodes else None
-    unknown = f"B{LENGTH - 1}", (987_654,)
-    for reader in readers:
-        assert reader.derivability() == expected_derivability
-        assert reader.last_read.epoch == epoch
-        assert reader.trusted(policy) == expected_trusted
+    unknown = TupleNode(f"B{LENGTH - 1}", (987_654,))
+    if probe is not None:
+        try:
+            expected_lineage = oracle.lineage(probe)[0]
+        except KeyError:
+            expected_lineage = KeyError
+    for subject in (resident, *readers):
+        assert subject.derivability() == expected_derivability
+        assert subject.trusted(policy) == expected_trusted
         if probe is not None:
             try:
-                expected_lineage = oracle.lineage(probe)[0]
-            except KeyError:
-                expected_lineage = KeyError
-            try:
-                got = reader.lineage(probe)
+                got = subject.lineage(probe)
             except KeyError:
                 got = KeyError
             assert got == expected_lineage
-        from repro.provenance.graph import TupleNode
-
         with pytest.raises(KeyError):
-            reader.lineage(TupleNode(*unknown))
+            subject.lineage(unknown)
+        if subject is resident:
+            # Index reads neither rebuild a current index nor leave a
+            # transaction open on the writer connection.
+            assert resident.last_graph_query.index_miss == 0
+            assert not store.connection.in_transaction
+        else:
+            assert subject.last_read.epoch == epoch
+    assert int(store.meta_get("index_epoch") or 0) == epoch
 
 
 ops = st.lists(
