@@ -2,7 +2,11 @@
 
 Every benchmark regenerates one table/figure of the paper's Section 6
 and records the series rows under ``benchmarks/results/`` so
-EXPERIMENTS.md can cite actual measured numbers.
+EXPERIMENTS.md can cite actual measured numbers — when the session
+asked for the suite (``-m benchmark_suite`` or a ``benchmarks/`` path
+on the command line).  A session that merely collected the suite along
+with everything else (the plain tier-1 run) records into pytest's tmp
+dir instead, so it leaves the committed series untouched.
 
 ``REPRO_SCALE`` (default 1.0) scales workload sizes: the defaults are
 laptop-scale versions of the paper's sweeps with identical structure
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-BENCHMARKS_DIR = Path(__file__).parent
+BENCHMARKS_DIR = Path(__file__).resolve().parent
 RESULTS_DIR = BENCHMARKS_DIR / "results"
 
 
@@ -39,10 +43,9 @@ def scaled(value: int, minimum: int = 1) -> int:
 class SeriesRecorder:
     """Appends labelled measurement rows to a per-figure results file."""
 
-    def __init__(self, figure: str):
+    def __init__(self, figure: str, directory: Path):
         self.figure = figure
-        RESULTS_DIR.mkdir(exist_ok=True)
-        self.path = RESULTS_DIR / f"{figure}.txt"
+        self.path = directory / f"{figure}.txt"
 
     def record(self, label: str, **metrics: object) -> None:
         parts = [f"{key}={value}" for key, value in metrics.items()]
@@ -52,15 +55,33 @@ class SeriesRecorder:
         print(line)
 
 
+def suite_requested(config) -> bool:
+    """True iff the session named the figure suite: a ``-m`` expression
+    mentioning ``benchmark_suite`` (a negated one deselects every test
+    here, so this code never runs) or a path at or under
+    ``benchmarks/`` among the command-line arguments."""
+    if "benchmark_suite" in (config.option.markexpr or ""):
+        return True
+    for arg in config.args:
+        path = (config.invocation_params.dir / arg.split("::")[0]).resolve()
+        if path == BENCHMARKS_DIR or BENCHMARKS_DIR in path.parents:
+            return True
+    return False
+
+
 @pytest.fixture(scope="session", autouse=True)
-def fresh_results():
-    """Truncate result files once per session."""
+def fresh_results(request, tmp_path_factory):
+    """The directory this session records into: the committed
+    ``benchmarks/results/`` (truncated once) when the suite was asked
+    for, a throwaway tmp dir otherwise."""
+    if not suite_requested(request.config):
+        return tmp_path_factory.mktemp("benchmark-results")
     RESULTS_DIR.mkdir(exist_ok=True)
     for path in RESULTS_DIR.glob("*.txt"):
         path.unlink()
-    yield
+    return RESULTS_DIR
 
 
 @pytest.fixture(scope="module")
-def recorder(request):
-    return SeriesRecorder(request.module.FIGURE)
+def recorder(request, fresh_results):
+    return SeriesRecorder(request.module.FIGURE, fresh_results)

@@ -566,8 +566,9 @@ class CDSS:
         fast-forwarded when possible, so the deletion does not force a
         full reload of the relation on the next exchange).  When the
         maintained reachability index is current, the store-side
-        victim marking also removes the victim's incident firings from
-        the index in the same transaction, keeping it *current* — see
+        victim marking (one ``DELETE … RETURNING rowid``) also removes
+        the victim's incident firings from the index in the same
+        transaction, keeping it *current* — see
         ``docs/graph-index.md``.
 
         Float NaNs in *row* are canonicalized exactly as in
@@ -629,11 +630,9 @@ class CDSS:
 
         In resident mode a *current* reachability index survives the
         sweep: the kill transaction prunes exactly the dead firings
-        from the index (the fixpoint already computed the live set).
-        Only when the dead cone is a large fraction of the index does
-        the call fall back to marking it stale (``index.invalidate``
-        span) — the next graph query then rebuilds it once.  See
-        ``docs/graph-index.md``.
+        from the index (the fixpoint already computed the live set),
+        whatever the size of the dead cone, so the next graph query
+        answers without a rebuild.  See ``docs/graph-index.md``.
 
         Returns the number of removed tuples; the full statistics
         (``rows_deleted``, ``pm_rows_collected``, ``iterations``,
@@ -834,9 +833,8 @@ class CDSS:
         no :class:`ProvenanceGraph` is materialized.  That walk is the
         oracle; by default the shared pure-SELECT read core
         (:mod:`repro.exchange.index_reads`) answers from the maintained
-        reachability index with one ancestor-closure probe — an
-        interval containment test when the
-        DAG is tree-shaped, one recursive CTE otherwise — reported as
+        reachability index with one ancestor-closure probe — one
+        recursive CTE over the integer edge set — reported as
         ``index_hit == 1`` on the stats; a stale index is rebuilt once
         at query time first (``index_miss == 1``).  Non-resident
         systems annotate *node*'s ancestor closure of the in-memory

@@ -614,9 +614,8 @@ class StoreGraphQueries:
         ready = self._ready_index()
         if ready is not None:
             core, index, miss = ready
-            interval_ready = index.ensure_encoding()
             answer, _cached = core.lineage(
-                self.store.connection, index.epoch, interval_ready, node
+                self.store.connection, index.epoch, node
             )
             if answer.value is None:
                 raise KeyError(node)

@@ -6,17 +6,16 @@ Every index-backed graph query — ``lineage`` (Q6), ``derivability``
 store's own connection) and for the serving tier's readers
 (:class:`~repro.serve.reader.ReaderSession` on ``mode=ro``
 connections) alike.  Nothing in this module writes: no TEMP tables, no
-transactions, no ``__meta`` access.  The caller says which
-``(epoch, interval_ready)`` its connection observes — the writer reads
-them off :class:`~repro.exchange.reach_index.ReachabilityIndex`, a
-reader off the ``__meta`` row inside its pinned snapshot — and the core
-answers for exactly that epoch:
+transactions, no ``__meta`` access.  The caller says which ``epoch``
+its connection observes — the writer reads it off
+:class:`~repro.exchange.reach_index.ReachabilityIndex`, a reader off
+the ``__meta`` row inside its pinned snapshot — and the core answers
+for exactly that epoch:
 
 * **lineage** — resolve the probe to its node id, take its
-  ancestor-or-self closure (one ``tin``/``tout`` window over
-  ``__ridx_info`` when the encoding is tree-exact, one recursive CTE
-  over ``__ridx_fire``/``__ridx_body`` otherwise), bucket the closure
-  by relation number and decode the local-contribution slice;
+  ancestor-or-self closure (one recursive CTE over
+  ``__ridx_fire``/``__ridx_body``), bucket the closure by relation
+  number and decode the local-contribution slice;
 * **derivability / trusted** — load the integer edge set once per
   epoch and run the least liveness fixpoint as a Python worklist
   (:func:`liveness_over_edges`); a trust policy only changes which
@@ -45,7 +44,6 @@ from repro.errors import StaleSnapshotError
 from repro.exchange.reach_index import (
     BODY_TABLE,
     FIRE_TABLE,
-    INFO_TABLE,
     REL_SHIFT,
     load_relnos,
 )
@@ -70,16 +68,6 @@ ANCESTOR_CTE_SQL = (
     "JOIN anc AS a ON f.head = a.id) "
     f"SELECT id, (SELECT COUNT(*) FROM {_q(FIRE_TABLE)} AS h "
     "WHERE h.head = anc.id) FROM anc"
-)
-
-#: ``tin`` probe for one node in the interval encoding.
-INTERVAL_PROBE_SQL = f"SELECT tin FROM {_q(INFO_TABLE)} WHERE id = ?"
-
-#: ancestor-or-self window of a probe time in a tree-exact encoding;
-#: in a forest every node above layer 0 heads exactly one fire.
-INTERVAL_WINDOW_SQL = (
-    f"SELECT id, layer > 0 FROM {_q(INFO_TABLE)} "
-    "WHERE tin <= ? AND tout >= ?"
 )
 
 #: entries kept in the per-epoch query-result cache (FIFO).
@@ -207,8 +195,8 @@ class IndexAnswer(Generic[T]):
     """One computed answer plus the bookkeeping both callers report."""
 
     value: T
-    #: how it was computed: ``"interval"``, ``"cte"``, ``"fixpoint"``
-    #: or ``"miss"`` (a lineage probe on an unknown/unstored node).
+    #: how it was computed: ``"cte"``, ``"fixpoint"`` or ``"miss"``
+    #: (a lineage probe on an unknown/unstored node).
     path: str
     #: fires visited — the ``pm_rows_scanned`` of the writer's stats.
     scanned: int
@@ -335,28 +323,25 @@ class IndexReadCore:
         self,
         conn: sqlite3.Connection,
         epoch: int,
-        interval_ready: bool,
         node: TupleNode,
     ) -> tuple[IndexAnswer[frozenset[TupleNode] | None], bool]:
         """Local base tuples *node* derives from, at *epoch*.
 
         Returns ``(answer, cache_hit)``; the answer's value is None
         when *node* is not a stored tuple (cached too, so a repeated
-        miss costs nothing).  ``interval_ready`` says the interval
-        encoding is tree-exact and covers *epoch*.
+        miss costs nothing).
         """
         cache = self._epoch_cache(conn, epoch)
         return self._cached(
             cache,
             ("lineage", node.relation, tuple(node.values)),
-            lambda: self._lineage(conn, cache, interval_ready, node),
+            lambda: self._lineage(conn, cache, node),
         )
 
     def _lineage(
         self,
         conn: sqlite3.Connection,
         cache: _EpochCache,
-        interval_ready: bool,
         node: TupleNode,
     ) -> IndexAnswer[frozenset[TupleNode] | None]:
         miss: IndexAnswer[frozenset[TupleNode] | None] = IndexAnswer(
@@ -376,23 +361,9 @@ class IndexReadCore:
                 f"{node.relation} not registered in the index"
             )
         qid = relno * REL_SHIFT + rowid
-        # (node id, fires it heads) for the ancestor-or-self closure.
-        closure: Iterable[tuple[int, int]]
-        if interval_ready:
-            path = "interval"
-            row = conn.execute(INTERVAL_PROBE_SQL, (qid,)).fetchone()
-            # No info row: the node has no edges; closure is itself.
-            closure = (
-                [(qid, 0)]
-                if row is None
-                else conn.execute(INTERVAL_WINDOW_SQL, (row[0], row[0]))
-            )
-        else:
-            path = "cte"
-            closure = conn.execute(ANCESTOR_CTE_SQL, (qid,))
         scanned = 0
         by_relno: dict[int, list[int]] = {}
-        for nid, heads in closure:
+        for nid, heads in conn.execute(ANCESTOR_CTE_SQL, (qid,)):
             scanned += heads
             number, local = divmod(nid, REL_SHIFT)
             by_relno.setdefault(number, []).append(local)
@@ -403,7 +374,7 @@ class IndexReadCore:
                 leaves.update(
                     self._leaf_nodes(conn, cache, relation, number, rowids)
                 )
-        return IndexAnswer(frozenset(leaves), path, scanned)
+        return IndexAnswer(frozenset(leaves), "cte", scanned)
 
     def _stored_rowid(
         self, conn: sqlite3.Connection, node: TupleNode

@@ -21,18 +21,14 @@ Design (documented in full in ``docs/graph-index.md``):
 * **maintenance** is incremental: after a resident exchange the fresh
   ``__fired_*`` log rows are translated into new fire/body rows
   (:meth:`ReachabilityIndex.extend_from_log`); a targeted deletion
-  removes exactly the incident fires; deletion propagation prunes the
-  dead cone set-at-a-time, falling back to a stale-mark (and a later
-  query-time rebuild) when the cone exceeds
-  :data:`PRUNE_FALLBACK_RATIO` of the index;
+  removes exactly the incident fires; deletion propagation prunes
+  exactly the dead cone its liveness fixpoint computed, whatever its
+  size, set-at-a-time;
 * the index **epoch** and state live in the store's ``__meta`` table,
   so a store reopened by path knows whether its index is current;
-* a per-epoch **interval encoding** (``__ridx_info``: pre/post-order
-  windows + topological layer, XPath-accelerator style) turns the
-  ancestor test into a range predicate whenever the provenance DAG is
-  a forest (every tuple derived by at most one single-body firing);
-  general DAGs use a recursive-CTE closure over the integer edge
-  set — still orders of magnitude cheaper than the slot-row walk.
+* the ancestor test is one recursive-CTE closure over the integer
+  edge set, on every DAG shape — orders of magnitude cheaper than the
+  slot-row walk.
 
 This module is the index's **write** side: the lowering, the schema,
 and every maintenance event.  Reads live in
@@ -72,20 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: while products stay well inside SQLite's signed 64-bit integers.
 REL_SHIFT = 1 << 40
 
-#: deletion-propagation fallback: when more than 1/PRUNE_FALLBACK_RATIO
-#: of all stored tuples died, targeted pruning would touch most of the
-#: index anyway — mark it stale and let the next query rebuild.
-PRUNE_FALLBACK_RATIO = 4
-
-#: interval encodings are skipped above this edge count (the DFS is
-#: a Python-side pass; the CTE path stays available regardless).
-ENCODING_CAP = 2_000_000
-
 #: permanent index tables.
 REL_TABLE = "__ridx_rel"
 FIRE_TABLE = "__ridx_fire"
 BODY_TABLE = "__ridx_body"
-INFO_TABLE = "__ridx_info"
 
 #: TEMP work tables of deletion pruning (connection-local, emptied by
 #: the maintenance step that fills them), with their one key column.
@@ -137,9 +123,6 @@ class ReachSQL:
     rules: tuple[ReachRuleSQL, ...]
     #: every relation whose rows get node ids.
     relations: tuple[str, ...]
-    #: the leaf (local-contribution) relations — lineage answers are
-    #: the closure's intersection with these.
-    edb_relations: tuple[str, ...]
 
 
 def _endpoint_insert(
@@ -200,13 +183,11 @@ def lower_reach_program(
     already holds.
     """
     relations: dict[str, None] = {}
-    heads: set[str] = set()
     for crule in compiled:
         for rel in crule.body_relations:
             relations.setdefault(rel, None)
         for rel, _extractors in crule.head:
             relations.setdefault(rel, None)
-            heads.add(rel)
     rules = []
     for crule in compiled:
         name = crule.rule.name
@@ -264,11 +245,7 @@ def lower_reach_program(
                 tuple(head_sqls),
             )
         )
-    return ReachSQL(
-        tuple(rules),
-        tuple(relations),
-        tuple(r for r in relations if r not in heads),
-    )
+    return ReachSQL(tuple(rules), tuple(relations))
 
 
 # -- the index ---------------------------------------------------------------
@@ -279,9 +256,9 @@ class ReachabilityIndex:
 
     One instance per :class:`~repro.exchange.sql_executor.ExchangeStore`
     (``store.reach_index``).  All persistent state — the fire/body
-    tables, relation-number registry, interval encoding, epoch, and
-    current/stale flag — lives in the store file, so a store reopened
-    by path resumes with a usable (or correctly stale-marked) index.
+    tables, relation-number registry, epoch, and current/stale flag —
+    lives in the store file, so a store reopened by path resumes with
+    a usable (or correctly stale-marked) index.
     """
 
     def __init__(self, store: "ExchangeStore"):
@@ -339,10 +316,8 @@ class ReachabilityIndex:
             self._renumbered = True
             self.mark_stale()
 
-    def _bump_epoch(self) -> int:
-        epoch = self.epoch + 1
-        self.store.meta_set("index_epoch", epoch)
-        return epoch
+    def _bump_epoch(self) -> None:
+        self.store.meta_set("index_epoch", self.epoch + 1)
 
     # -- schema --------------------------------------------------------------
 
@@ -373,14 +348,12 @@ class ReachabilityIndex:
                 f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + BODY_TABLE + '_body')} "
                 f"ON {_q(BODY_TABLE)} (body)"
             )
+            # Legacy stores carry a fourth index table and two
+            # bookkeeping keys that nothing reads.
+            conn.execute('DROP TABLE IF EXISTS "__ridx_info"')
             conn.execute(
-                f"CREATE TABLE IF NOT EXISTS {_q(INFO_TABLE)} "
-                "(id INTEGER PRIMARY KEY, layer INTEGER NOT NULL, "
-                "tin INTEGER NOT NULL, tout INTEGER NOT NULL)"
-            )
-            conn.execute(
-                f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + INFO_TABLE + '_tin')} "
-                f"ON {_q(INFO_TABLE)} (tin)"
+                'DELETE FROM "__meta" WHERE key IN '
+                "('index_enc_epoch', 'index_tree_exact')"
             )
             conn.commit()
             self._schema_ready = True
@@ -552,34 +525,18 @@ class ReachabilityIndex:
 
     def on_row_deleted(self, relation: str, rowid: int) -> None:
         """Targeted maintenance for one deleted stored row (caller
-        supplies the transaction and has checked :meth:`maintains`).
-        Removes the fires incident to the node — they reference a tuple
-        that no longer exists, so the unindexed join paths would not
-        enumerate them either — and bumps the epoch."""
+        supplies the transaction and has checked :meth:`maintains`): a
+        one-node prune.  Removes the fires incident to the node — they
+        reference a tuple that no longer exists, so the unindexed join
+        paths would not enumerate them either — and bumps the epoch."""
         self._ensure_temps()
         conn = self.store.connection
-        node = self.id_base(relation) + rowid
-        conn.execute('DELETE FROM "__rq_deadfid"')
+        conn.execute('DELETE FROM "__rq_dead"')
         conn.execute(
-            'INSERT OR IGNORE INTO "__rq_deadfid" '
-            f"SELECT fid FROM {_q(FIRE_TABLE)} WHERE head = ?",
-            (node,),
+            'INSERT INTO "__rq_dead" VALUES (?)',
+            (self.id_base(relation) + rowid,),
         )
-        conn.execute(
-            'INSERT OR IGNORE INTO "__rq_deadfid" '
-            f"SELECT fid FROM {_q(BODY_TABLE)} WHERE body = ?",
-            (node,),
-        )
-        conn.execute(
-            f"DELETE FROM {_q(FIRE_TABLE)} "
-            'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
-        )
-        conn.execute(
-            f"DELETE FROM {_q(BODY_TABLE)} "
-            'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
-        )
-        conn.execute('DELETE FROM "__rq_deadfid"')
-        self._bump_epoch()
+        self.finish_prune()
 
     def begin_prune(
         self, derived_relations: Iterable[str], catalog: Catalog
@@ -606,142 +563,29 @@ class ReachabilityIndex:
                 f"{_q(live_table(relation))} AS l WHERE {match})"
             )
 
-    def finish_prune(
-        self, tracer: "Tracer | NullTracer" = NULL_TRACER
-    ) -> None:
-        """Prune the captured dead cone (same transaction as the kill
-        sweeps).  Exact, no cascade: the liveness fixpoint computed the
-        full live set, so every fire not incident to a dead node has
-        all endpoints alive.  Falls back to a stale-mark when the cone
-        is a large fraction of the index (see
-        :data:`PRUNE_FALLBACK_RATIO`)."""
+    def finish_prune(self) -> None:
+        """Delete every fire with a head or body node in ``__rq_dead``
+        (same transaction as whatever killed those nodes), leave both
+        work tables empty, and bump the epoch if any node was named.
+        Exact whatever the cone's size, no cascade: the liveness
+        fixpoint computed the full live set, so every fire not
+        incident to a dead node has all endpoints alive."""
         conn = self.store.connection
-        (dead,) = conn.execute('SELECT COUNT(*) FROM "__rq_dead"').fetchone()
-        if not dead:
-            return
-        (fires,) = conn.execute(
-            f"SELECT COUNT(*) FROM {_q(FIRE_TABLE)}"
-        ).fetchone()
-        if dead * PRUNE_FALLBACK_RATIO > fires:
-            with tracer.span("index.invalidate") as span:
-                span.set("dead", dead).set("fires", fires)
-                self.mark_stale()
-            conn.execute('DELETE FROM "__rq_dead"')
+        if conn.execute('SELECT 1 FROM "__rq_dead" LIMIT 1').fetchone() is None:
             return
         conn.execute('DELETE FROM "__rq_deadfid"')
         conn.execute(
-            'INSERT OR IGNORE INTO "__rq_deadfid" '
+            'INSERT INTO "__rq_deadfid" '
             f'SELECT fid FROM {_q(FIRE_TABLE)} '
-            'WHERE head IN (SELECT id FROM "__rq_dead")'
-        )
-        conn.execute(
-            'INSERT OR IGNORE INTO "__rq_deadfid" '
+            'WHERE head IN (SELECT id FROM "__rq_dead") UNION '
             f'SELECT fid FROM {_q(BODY_TABLE)} '
             'WHERE body IN (SELECT id FROM "__rq_dead")'
         )
-        conn.execute(
-            f"DELETE FROM {_q(FIRE_TABLE)} "
-            'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
-        )
-        conn.execute(
-            f"DELETE FROM {_q(BODY_TABLE)} "
-            'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
-        )
+        for table in (FIRE_TABLE, BODY_TABLE):
+            conn.execute(
+                f"DELETE FROM {_q(table)} "
+                'WHERE fid IN (SELECT fid FROM "__rq_deadfid")'
+            )
         conn.execute('DELETE FROM "__rq_dead"')
         conn.execute('DELETE FROM "__rq_deadfid"')
         self._bump_epoch()
-
-    # -- interval encoding ---------------------------------------------------
-
-    def ensure_encoding(self) -> bool:
-        """(Re)build the interval table if the epoch moved; returns
-        whether the current encoding is tree-exact (ancestor tests may
-        use the range predicate).  Lazy: only the first query of an
-        epoch pays, and non-forest graphs fail the cheap probes fast
-        and fall back to the recursive-CTE path."""
-        conn = self.store.connection
-        epoch = self.epoch
-        if int(self.store.meta_get("index_enc_epoch") or -1) == epoch:
-            return bool(int(self.store.meta_get("index_tree_exact") or 0))
-        tree_exact = self._try_encode()
-        self.store.meta_set("index_enc_epoch", epoch)
-        self.store.meta_set("index_tree_exact", 1 if tree_exact else 0)
-        if not tree_exact:
-            with conn:
-                conn.execute(f"DELETE FROM {_q(INFO_TABLE)}")
-        return tree_exact
-
-    def _try_encode(self) -> bool:
-        """Attempt the forest interval encoding.  Tree-exact iff every
-        fire has exactly one body (a multi-body rule makes the
-        derivation a true hyperedge) and every tuple is the head of at
-        most one fire (multiple derivations merge cones)."""
-        conn = self.store.connection
-        # Body probe first: it fails immediately on any multi-body
-        # rule, so e.g. join-shaped programs pay two cheap probes and
-        # nothing else.
-        multi_body = conn.execute(
-            f"SELECT 1 FROM {_q(BODY_TABLE)} GROUP BY fid "
-            "HAVING COUNT(*) > 1 LIMIT 1"
-        ).fetchone()
-        if multi_body:
-            return False
-        multi_head = conn.execute(
-            f"SELECT 1 FROM {_q(FIRE_TABLE)} GROUP BY head "
-            "HAVING COUNT(*) > 1 LIMIT 1"
-        ).fetchone()
-        if multi_head:
-            return False
-        (edges,) = conn.execute(
-            f"SELECT COUNT(*) FROM {_q(FIRE_TABLE)}"
-        ).fetchone()
-        if edges > ENCODING_CAP:
-            return False
-        # parent(head) = body: each derived tuple hangs under its one
-        # supporting tuple; roots are the EDB leaves.  An iterative
-        # DFS assigns pre/post-order windows — n is an ancestor-or-self
-        # of q iff tin[n] <= tin[q] <= tout[n].
-        parent: dict[int, int] = {}
-        children: dict[int, list[int]] = {}
-        nodes: set[int] = set()
-        for head, body in conn.execute(
-            f"SELECT f.head, b.body FROM {_q(FIRE_TABLE)} AS f "
-            f"JOIN {_q(BODY_TABLE)} AS b ON b.fid = f.fid"
-        ):
-            parent[head] = body
-            children.setdefault(body, []).append(head)
-            nodes.add(head)
-            nodes.add(body)
-        roots = sorted(n for n in nodes if n not in parent)
-        info: list[tuple[int, int, int, int]] = []
-        clock = 0
-        for root in roots:
-            # (node, layer, child cursor) — iterative to survive long
-            # derivation chains.
-            stack: list[list[int]] = [[root, 0, 0]]
-            tin: dict[int, int] = {}
-            while stack:
-                frame = stack[-1]
-                node, layer, cursor = frame
-                if cursor == 0:
-                    clock += 1
-                    tin[node] = clock
-                kids = children.get(node, ())
-                if cursor < len(kids):
-                    frame[2] += 1
-                    stack.append([kids[cursor], layer + 1, 0])
-                else:
-                    info.append((node, layer, tin[node], clock))
-                    stack.pop()
-        # Nodes reached by no root (cycles) get no info row; queries on
-        # them fall back to the CTE per-query.  That is only possible
-        # with cyclic programs, which the forest probes usually reject
-        # earlier anyway.
-        with conn:
-            conn.execute(f"DELETE FROM {_q(INFO_TABLE)}")
-            conn.executemany(
-                f"INSERT INTO {_q(INFO_TABLE)} (id, layer, tin, tout) "
-                "VALUES (?, ?, ?, ?)",
-                info,
-            )
-        return True

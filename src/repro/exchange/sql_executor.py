@@ -640,27 +640,22 @@ class ExchangeStore:
         condition = " AND ".join(
             f"{_q(c)} IS ?" for c in schema.attribute_names
         )
-        encoded = self.codec.encode_row(row)
         with self.connection:
-            rowid = None
+            rowids = [
+                int(rowid)
+                for (rowid,) in self.connection.execute(
+                    f"DELETE FROM {_q(schema.name)} WHERE {condition} "
+                    "RETURNING rowid",
+                    self.codec.encode_row(row),
+                )
+            ]
             index = self.reach_index
-            if index.maintains(schema.name):
-                found = self.connection.execute(
-                    f"SELECT rowid FROM {_q(schema.name)} WHERE {condition}",
-                    encoded,
-                ).fetchone()
-                if found is not None:
-                    rowid = int(found[0])
-            cursor = self.connection.execute(
-                f"DELETE FROM {_q(schema.name)} WHERE {condition}",
-                encoded,
-            )
-            if cursor.rowcount > 0 and rowid is not None:
-                index.on_row_deleted(schema.name, rowid)
-        removed = max(cursor.rowcount, 0)
-        if removed:
-            self.note_rows_removed(schema.name, removed)
-        return bool(removed)
+            if rowids and index.maintains(schema.name):
+                for rowid in rowids:
+                    index.on_row_deleted(schema.name, rowid)
+        if rowids:
+            self.note_rows_removed(schema.name, len(rowids))
+        return bool(rowids)
 
     def delete_provenance_rows(
         self, mapping: SchemaMapping, rows: Iterable[Row]
@@ -1096,9 +1091,8 @@ class SQLiteExchangeEngine:
             if prune:
                 # Capture the dying derived rows (by node id) while
                 # they are still present; the index prunes exactly
-                # their incident fires after the sweeps — or marks
-                # itself stale when the cone is too large.  Leaf
-                # victims were already cleaned per-delete.
+                # their incident fires after the sweeps.  Leaf victims
+                # were already cleaned per-delete.
                 index.begin_prune(dsql.derived_relations, catalog)
             for relation in dsql.derived_relations:
                 cursor = conn.execute(kill_sql(catalog, relation))
@@ -1109,7 +1103,7 @@ class SQLiteExchangeEngine:
                 cursor = conn.execute(pm_gc_sql(pm_table, live_pm, columns))
                 pm_collected += max(cursor.rowcount, 0)
             if prune:
-                index.finish_prune(tracer)
+                index.finish_prune()
             kspan.set(
                 "rows_deleted", sum(removed_counts.values())
             ).set("pm_rows_collected", pm_collected)

@@ -38,7 +38,6 @@ SPANS: dict[str, str] = {
     "walk.round": "One backward-walk round of the resident lineage query (attrs: round).",
     # -- maintained reachability index ---------------------------------------
     "index.maintain": "Post-run maintenance of the reachability index (attrs: mode, fires).",
-    "index.invalidate": "Deletion cone exceeded the threshold: index marked stale (attrs: dead, fires).",
     "index.rebuild": "Query-time index rebuild from the stored firing history (attrs: fires).",
     # -- concurrent serving --------------------------------------------------
     "serve.query": "One read-only reader answer (attrs: kind, epoch, cache_hit, path).",

@@ -78,8 +78,7 @@ DEFAULT_RETRY = BackoffPolicy(
 
 _META_SQL = (
     'SELECT key, value FROM "__meta" WHERE key IN '
-    "('index_state', 'index_epoch', 'dirty_run', "
-    "'index_enc_epoch', 'index_tree_exact')"
+    "('index_state', 'index_epoch', 'dirty_run')"
 )
 
 
@@ -90,18 +89,11 @@ class SnapshotState:
     state: str
     epoch: int
     dirty: bool
-    enc_epoch: int
-    tree_exact: bool
 
     @property
     def servable(self) -> bool:
         """True iff the index is consistent at :attr:`epoch`."""
         return self.state == "current" and not self.dirty
-
-    @property
-    def interval_ready(self) -> bool:
-        """True iff the interval encoding covers this epoch."""
-        return self.tree_exact and self.enc_epoch == self.epoch
 
 
 @dataclass(frozen=True)
@@ -113,8 +105,8 @@ class ReadStats:
     cache_hit: bool
     retries: int
     wall_seconds: float
-    #: ``"cache"``, ``"interval"``, ``"cte"``, ``"fixpoint"`` or
-    #: ``"miss"`` (a lineage probe on an unknown/unstored node).
+    #: ``"cache"``, ``"cte"``, ``"fixpoint"`` or ``"miss"`` (a
+    #: lineage probe on an unknown/unstored node).
     path: str
 
 
@@ -228,8 +220,6 @@ class ReaderSession:
             state=str(meta.get("index_state") or ""),
             epoch=int(meta.get("index_epoch") or 0),
             dirty=bool(int(meta.get("dirty_run") or 0)),
-            enc_epoch=int(meta.get("index_enc_epoch") or -1),
-            tree_exact=bool(int(meta.get("index_tree_exact") or 0)),
         )
 
     @property
@@ -328,7 +318,7 @@ class ReaderSession:
         value = self._answer(
             "lineage",
             lambda conn, state: self._core.lineage(
-                conn, state.epoch, state.interval_ready, node
+                conn, state.epoch, node
             ),
         )
         if value is None:

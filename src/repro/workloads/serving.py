@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import tempfile
 import threading
 import time
@@ -53,6 +54,23 @@ __all__ = ["SoakConfig", "SoakReport", "run_soak", "main"]
 SOAK_RETRY = BackoffPolicy(
     attempts=200, base_delay=0.001, multiplier=1.5, max_delay=0.02
 )
+
+
+def _reference_chunk_seconds() -> float:
+    """Wall seconds of one reference chunk: about a millisecond of
+    fixed interpreter work — integer arithmetic, tuple building, dict
+    stores and lookups, string formatting, the mix a warm read is made
+    of.  Readers time it beside their queries, so a latency bar of one
+    chunk is the sub-millisecond bar scaled by the machine's speed
+    under the run's own load."""
+    started = time.perf_counter()
+    table: dict[tuple[int, int], str] = {}
+    total = 0
+    for i in range(2200):
+        key = (i % 97, i * i % 89)
+        table[key] = f"{i}:{total & 0xFF}"
+        total += len(table[key]) + key[0] * key[1]
+    return time.perf_counter() - started
 
 
 @dataclass(frozen=True)
@@ -98,6 +116,8 @@ class _ReaderLog:
     seen: dict[tuple[int, object], object] = field(default_factory=dict)
     #: wall seconds of warm (result-cache hit) lineage answers.
     warm_lineage_seconds: list[float] = field(default_factory=list)
+    #: wall seconds of the reference chunk, timed once per epoch seen.
+    reference_seconds: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -114,6 +134,10 @@ class SoakReport:
     busy_escapes: int
     unavailable: int
     warm_lineage_seconds: list[float]
+    #: median wall seconds of the reference chunk across all readers
+    #: (0.0 when no reader answered a query) — the bar
+    #: :meth:`warm_median_seconds` is held to.
+    reference_chunk_seconds: float
     final_checkpoint: tuple[int, int, int]
     wall_seconds: float
     metrics: dict[str, float]
@@ -127,10 +151,7 @@ class SoakReport:
 
     def warm_median_seconds(self) -> float:
         """Median warm (cached) lineage latency, 0.0 when unmeasured."""
-        if not self.warm_lineage_seconds:
-            return 0.0
-        ordered = sorted(self.warm_lineage_seconds)
-        return ordered[len(ordered) // 2]
+        return statistics.median_high(self.warm_lineage_seconds or [0.0])
 
     def summary(self) -> str:
         """Human-readable one-screen result."""
@@ -147,7 +168,8 @@ class SoakReport:
             f"errors: {len(self.errors)}",
             f"  warm lineage median: "
             f"{self.warm_median_seconds() * 1e6:.0f}us "
-            f"over {len(self.warm_lineage_seconds)} samples",
+            f"over {len(self.warm_lineage_seconds)} samples "
+            f"(reference chunk: {self.reference_chunk_seconds * 1e6:.0f}us)",
             f"  final checkpoint (TRUNCATE): busy={self.final_checkpoint[0]} "
             f"wal_pages={self.final_checkpoint[1]}",
         ]
@@ -293,6 +315,7 @@ def _run_soak(
     def reader_main(index: int, log: _ReaderLog) -> None:
         with pool.session() as session:
             step = index  # stagger the probe rotation across readers
+            epoch = None
             while True:
                 if log.queries >= config.queries_per_reader and stop.is_set():
                     return
@@ -338,6 +361,9 @@ def _run_soak(
                     )
                 if stats.cache_hit and key[0] == "lineage":
                     log.warm_lineage_seconds.append(stats.wall_seconds)
+                if stats.epoch != epoch:
+                    epoch = stats.epoch
+                    log.reference_seconds.append(_reference_chunk_seconds())
 
     threads = [
         threading.Thread(
@@ -438,6 +464,9 @@ def _run_soak(
         warm_lineage_seconds=[
             second for log in logs for second in log.warm_lineage_seconds
         ],
+        reference_chunk_seconds=statistics.median(
+            [s for log in logs for s in log.reference_seconds] or [0.0]
+        ),
         final_checkpoint=final_checkpoint,
         wall_seconds=time.perf_counter() - started,
         metrics=cdss.metrics.snapshot(),

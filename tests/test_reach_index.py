@@ -2,20 +2,21 @@
 maintenance, the epoch/staleness protocol, and indexed answers checked
 against both the legacy relational paths and the memory engine."""
 
-import pytest
-
-import repro.exchange.reach_index as reach_index
 from repro.cdss import CDSS, Peer, TrustPolicy
 from repro.exchange.graph_queries import StoreGraphQueries
 from repro.exchange.sql_executor import ExchangeStore
 from repro.obs import MemorySink, Tracer
+from repro.provenance.graph import TupleNode
 from repro.relational import RelationSchema
+from repro.serve import ReaderSession
+from repro.storage.encoding import canonical_row
 
 from test_exchange_sql import (
     build_resident_deletion_pair,
     example_twins,
     insert_example_data,
 )
+from test_reach_index_properties import legacy_oracle
 
 
 def o_node(memory):
@@ -30,11 +31,26 @@ def distrusting_policy():
     return policy
 
 
+def index_edges(store):
+    """The index's hyperedges as ``{(rule, head, bodies)}`` — fids are
+    allocation order, not content, so they are left out."""
+    bodies = {}
+    for fid, body in store.connection.execute(
+        'SELECT fid, body FROM "__ridx_body"'
+    ):
+        bodies.setdefault(fid, set()).add(body)
+    return {
+        (rule, head, frozenset(bodies.get(fid, ())))
+        for fid, rule, head in store.connection.execute(
+            'SELECT fid, rule, head FROM "__ridx_fire"'
+        )
+    }
+
+
 def copy_chain_twins(length=4, rows=6):
     """Two CDSS twins over a pure copy chain B0 -> B1 -> ... — every
     firing has exactly one body atom and every derived tuple exactly
-    one derivation, so the provenance DAG is a forest and the index's
-    interval encoding applies exactly."""
+    one derivation, so the provenance DAG is a forest."""
     out = []
     for _ in range(2):
         system = CDSS(
@@ -72,14 +88,7 @@ class TestIndexedQueryAnswers:
 
     def test_indexed_answers_match_legacy_oracle(self, tmp_path):
         memory, resident = build_resident_deletion_pair(tmp_path)
-        program, _ = resident.plan_cache.fetch(resident.program())
-        legacy = StoreGraphQueries(
-            resident.exchange_store,
-            program,
-            resident.catalog,
-            resident.mappings,
-            use_index=False,
-        )
+        legacy = legacy_oracle(resident)
         node = o_node(memory)
         policy = distrusting_policy()
         assert resident.derivability() == legacy.derivability()[0]
@@ -157,8 +166,8 @@ class TestStalenessProtocol:
 
     def test_large_cone_propagation_answers_stay_correct(self, tmp_path):
         # Deleting a root base row dooms most of the example's
-        # derivations: whatever path the cone heuristic picks, the
-        # answers must keep matching the memory engine.
+        # derivations: the answers must keep matching the memory
+        # engine.
         memory, resident = build_resident_deletion_pair(tmp_path)
         for system in (memory, resident):
             system.delete_local("A", (2, "sn1", 5))
@@ -167,20 +176,82 @@ class TestStalenessProtocol:
         node = o_node(memory)
         assert resident.lineage(node) == memory.lineage(node)
 
-    def test_large_deletion_cone_falls_back_to_stale(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(reach_index, "PRUNE_FALLBACK_RATIO", 10**9)
+    def test_large_deletion_cones_prune_exactly(self, tmp_path):
+        # Two cones past the retired 1/4 threshold: one root base row
+        # (most of the example's derivations), then every base row
+        # (every derived tuple dies).  Both prune in place — index
+        # current, no rebuild on the next query — and leave exactly
+        # the edge set a from-store rebuild produces.
         memory, resident = build_resident_deletion_pair(tmp_path)
-        for system in (memory, resident):
-            system.delete_local("A", (2, "sn1", 5))
-            system.propagate_deletions()
         store = resident.exchange_store
-        assert store.meta_get("index_state") == "stale"
-        # The next query pays one rebuild, then stays current.
-        assert resident.derivability() == memory.derivability()
-        assert resident.last_graph_query.index_miss == 1
+        program, _ = resident.plan_cache.fetch(resident.program())
+        cones = [
+            [("A", (2, "sn1", 5))],
+            [
+                (relation[: -len("_l")], row)
+                for relation in ("A_l", "N_l", "C_l")
+                for row in sorted(memory.instance[relation])
+                if (relation, row) != ("A_l", (2, "sn1", 5))
+            ],
+        ]
+        for victims in cones:
+            for system in (memory, resident):
+                for relation, row in victims:
+                    system.delete_local(relation, row)
+            fires = len(index_edges(store))
+            dead = resident.propagate_deletions()
+            assert dead == memory.propagate_deletions()
+            assert dead * 4 > fires
+            pruned = index_edges(store)
+            assert store.meta_get("index_state") == "current"
+            assert resident.derivability() == memory.derivability()
+            assert resident.last_graph_query.index_miss == 0
+            store.reach_index.rebuild_from_store(program.reach)
+            assert index_edges(store) == pruned
+        assert pruned == set()
+
+    def test_nan_and_null_victim_deletes_and_unhooks_its_fires(
+        self, tmp_path
+    ):
+        # The victim is found by ``IS`` on every column inside the one
+        # DELETE … RETURNING: a tagged NaN and a NULL must both match.
+        system = CDSS(
+            [
+                Peer.of(
+                    "P",
+                    [
+                        RelationSchema.of("A", [("x", "float"), "tag"]),
+                        RelationSchema.of("J", [("x", "float"), "tag"]),
+                    ],
+                )
+            ]
+        )
+        system.add_mappings(["mj: J(x, t) :- A(x, t)"])
+        victim = canonical_row((float("nan"), None))
+        system.insert_local("A", victim)
+        system.insert_local("A", (1.5, "kept"))
+        system.exchange(
+            engine="sqlite", storage=str(tmp_path / "nan.db"), resident=True
+        )
+        store = system.exchange_store
+        schema = system.catalog["A_l"]
+        (rowid,) = [
+            rowid
+            for rowid, *raw in store.connection.execute(
+                'SELECT rowid, * FROM "A_l"'
+            )
+            if store.codec.decode_row(raw, schema) == victim
+        ]
+        node = store.reach_index.id_base("A_l") + rowid
+        assert any(node in bodies for _r, _h, bodies in index_edges(store))
+        assert store.delete_relation_row(schema, victim) is True
+        assert victim not in store.relation_rows(schema)
+        assert not any(
+            node == head or node in bodies
+            for _rule, head, bodies in index_edges(store)
+        )
         assert store.meta_get("index_state") == "current"
+        assert store.delete_relation_row(schema, victim) is False
 
     def test_nonresident_run_over_indexed_store_marks_stale(self, tmp_path):
         path = str(tmp_path / "shared.db")
@@ -265,34 +336,112 @@ class TestEpochPersistence:
         assert resident.last_graph_query.index_hit == 1
 
 
-class TestIntervalEncoding:
-    def test_copy_chain_uses_the_exact_interval_encoding(self, tmp_path):
+class TestLineageClosure:
+    def test_copy_chain_answers_via_cte(self, tmp_path):
         memory, resident = copy_chain_twins()
+        path = str(tmp_path / "chain.db")
         memory.exchange()
-        resident.exchange(
-            engine="sqlite", storage=str(tmp_path / "chain.db"), resident=True
-        )
-        tail = sorted(memory.graph.tuples_in("B3"))[0]
-        assert resident.lineage(tail) == memory.lineage(tail)
-        store = resident.exchange_store
-        assert int(store.meta_get("index_tree_exact")) == 1
-        for node in sorted(memory.graph.tuples_in("B2")):
-            assert resident.lineage(node) == memory.lineage(node)
+        resident.exchange(engine="sqlite", storage=path, resident=True)
+        oracle = legacy_oracle(resident)
+        with ReaderSession(path, resident.catalog) as reader:
+            for relation in ("B2", "B3"):
+                for node in sorted(memory.graph.tuples_in(relation)):
+                    expected = memory.lineage(node)
+                    assert resident.lineage(node) == expected
+                    assert oracle.lineage(node)[0] == expected
+                    assert reader.lineage(node) == expected
+                    assert reader.last_read.path == "cte"
 
-    def test_branched_example_takes_the_cte_fallback(self, tmp_path):
-        # m1 joins two body atoms: the provenance DAG is not a forest,
-        # so the encoding probe must refuse and answers must still
-        # match (recursive-CTE closure).
+    def test_branched_example_answers_via_cte(self, tmp_path):
+        # m1 joins two body atoms: a true hyperedge DAG, same closure.
         memory, resident = build_resident_deletion_pair(tmp_path)
-        node = o_node(memory)
-        assert resident.lineage(node) == memory.lineage(node)
-        store = resident.exchange_store
-        assert int(store.meta_get("index_tree_exact")) == 0
         for relation in ("C", "N", "O"):
             for tuple_node in sorted(memory.graph.tuples_in(relation)):
                 assert resident.lineage(tuple_node) == memory.lineage(
                     tuple_node
                 )
+
+    def test_fresh_store_has_three_index_tables(self, tmp_path):
+        _memory, resident = build_resident_deletion_pair(tmp_path)
+        conn = resident.exchange_store.connection
+        tables = {
+            name for (name,) in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "AND name GLOB '__ridx_*'"
+            )
+        }
+        assert tables == {"__ridx_rel", "__ridx_fire", "__ridx_body"}
+        keys = {
+            key for (key,) in conn.execute(
+                "SELECT key FROM __meta WHERE key GLOB 'index_*'"
+            )
+        }
+        assert keys == {"index_state", "index_epoch", "index_next_fid"}
+
+    def test_cold_indexed_lineage_writes_nothing(self, tmp_path):
+        _memory, resident = copy_chain_twins()
+        resident.exchange(
+            engine="sqlite", storage=str(tmp_path / "chain.db"), resident=True
+        )
+        conn = resident.exchange_store.connection
+        changes = conn.total_changes
+        resident.lineage(TupleNode("B3", (0,)))
+        assert resident.last_graph_query.index_hit == 1
+        assert conn.total_changes == changes
+        assert conn.in_transaction is False
+
+
+class TestLegacyStores:
+    def test_forest_to_dag_store_with_stale_encoding_keys(self, tmp_path):
+        # The wrong-answer window of the retired interval encoding: a
+        # store that was a forest when its encoding was built gains a
+        # second derivation of B3, and the encoding's epoch key is
+        # committed for the new epoch before its tree-exact key is
+        # refreshed.  Nothing may answer from those leftovers.
+        _memory, resident = copy_chain_twins()
+        path = str(tmp_path / "chain.db")
+        resident.exchange(engine="sqlite", storage=path, resident=True)
+        resident.lineage(TupleNode("B3", (0,)))
+        resident.add_mapping("d1: B3(x) :- B1(x)")
+        resident.insert_local("B1", (99,))
+        resident.exchange(engine="sqlite", resident=True)
+        store = resident.exchange_store
+        store.meta_set("index_enc_epoch", store.reach_index.epoch)
+        oracle = legacy_oracle(resident)
+        with ReaderSession(path, resident.catalog) as reader:
+            for probe in (TupleNode("B3", (99,)), TupleNode("B3", (0,))):
+                expected = oracle.lineage(probe)[0]
+                assert expected
+                assert reader.lineage(probe) == expected
+                assert resident.lineage(probe) == expected
+
+    def test_ensure_schema_drops_the_legacy_encoding(self, tmp_path):
+        _memory, resident = copy_chain_twins()
+        path = str(tmp_path / "chain.db")
+        resident.exchange(engine="sqlite", storage=path, resident=True)
+        store = resident.exchange_store
+        conn = store.connection
+        with conn:
+            conn.execute(
+                'CREATE TABLE "__ridx_info" (id INTEGER PRIMARY KEY, '
+                "layer INTEGER NOT NULL, tin INTEGER NOT NULL, "
+                "tout INTEGER NOT NULL)"
+            )
+        store.meta_set("index_enc_epoch", 1)
+        store.meta_set("index_tree_exact", 1)
+        store.close()
+        with ExchangeStore(path) as reopened:
+            program, _ = resident.plan_cache.fetch(resident.program())
+            queries = StoreGraphQueries(
+                reopened, program, resident.catalog, resident.mappings
+            )
+            probe = TupleNode("B3", (0,))
+            assert queries.lineage(probe)[0] == frozenset(
+                {TupleNode("B0_l", (0,))}
+            )
+            assert not reopened.has_table("__ridx_info")
+            assert reopened.meta_get("index_enc_epoch") is None
+            assert reopened.meta_get("index_tree_exact") is None
 
 
 class TestPreparedStatements:

@@ -1,7 +1,8 @@
 """Property-based cross-check of the maintained reachability index.
 
-Random chain/branched mapping topologies under random interleavings of
-insert / exchange / delete / propagate / query: the indexed answers
+Random chain/branched/diamond mapping topologies under random
+interleavings of insert / exchange / delete / propagate / query: the
+indexed answers
 must equal the unindexed relational path on every query, and the
 memory engine whenever no divergence window is open (un-propagated
 deletes: resident victim marking removes rows immediately while the
@@ -28,9 +29,18 @@ LENGTH = 4
 
 def build_twins(kind):
     """Memory twin + (to-be) resident twin over a small topology."""
+    copy_chain = [f"c{i}: B{i}(x) :- B{i - 1}(x)" for i in range(1, LENGTH)]
     if kind == "chain":
-        mappings = [f"c{i}: B{i}(x) :- B{i - 1}(x)" for i in range(1, LENGTH)]
+        # single-body copy chain: every firing has one body node and
+        # every tuple one derivation — a provenance forest.
+        mappings = copy_chain
         data = ["B0"]
+    elif kind == "diamond":
+        # the copy chain plus a shortcut: still single-body, but B3
+        # rows fed from B0 are derived twice, and rows inserted at B1
+        # turn a forest store into a DAG mid-lifecycle.
+        mappings = copy_chain + ["d3: B3(x) :- B1(x)"]
+        data = ["B0", "B1"]
     else:  # branched: B0 and B1 join into B2, then a chain tail
         mappings = ["j2: B2(x) :- B0(x), B1(x)", "c3: B3(x) :- B2(x)"]
         data = ["B0", "B1"]
@@ -109,7 +119,7 @@ ops = st.lists(
 
 @settings(max_examples=15, deadline=None)
 @given(
-    kind=st.sampled_from(["chain", "branched"]),
+    kind=st.sampled_from(["chain", "branched", "diamond"]),
     rows=st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True),
     operations=ops,
 )

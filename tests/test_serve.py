@@ -96,9 +96,8 @@ def resident_example(tmp_path, name="serve.db"):
 
 
 def copy_chain_twins(length=4, rows=6):
-    """Pure copy chain B0 -> B1 -> ... — a provenance forest, so the
-    index's interval encoding applies exactly (reader path
-    ``interval``)."""
+    """Pure copy chain B0 -> B1 -> ... — a provenance forest (every
+    firing single-body, every tuple derived once)."""
     out = []
     for _ in range(2):
         system = CDSS(
@@ -250,7 +249,7 @@ class TestReaderSession:
         with ReaderSession(path, system.catalog) as reader:
             node = TupleNode("O", ("cn2", 5, True))
             assert reader.lineage(node) == system.lineage(node)
-            assert reader.last_read.path in ("cte", "interval")
+            assert reader.last_read.path == "cte"
             assert reader.derivability() == system.derivability()
             policy = TrustPolicy()
             policy.distrust_mapping("m4")
@@ -374,23 +373,21 @@ class TestReaderSession:
                 reader.derivability()
         system.exchange_store.dirty_run = False
 
-    def test_interval_path_on_forest_store(self, tmp_path):
-        _, resident = copy_chain_twins()
+    def test_cte_path_on_forest_store(self, tmp_path):
+        memory, resident = copy_chain_twins()
         path = str(tmp_path / "chain.db")
+        memory.exchange()
         resident.exchange(engine="sqlite", storage=path, resident=True)
-        # The writer's first indexed lineage query builds the interval
-        # encoding lazily (the forest is tree-exact).
         probe = TupleNode("B3", (0,))
-        writer_answer = resident.lineage(probe)
-        store = resident.exchange_store
-        assert int(store.meta_get("index_tree_exact") or 0) == 1
         with ReaderSession(path, resident.catalog) as reader:
-            assert reader.lineage(probe) == writer_answer
-            assert reader.last_read.path == "interval"
-            # Every derived node agrees with the writer path.
+            assert reader.lineage(probe) == memory.lineage(probe)
+            assert reader.last_read.path == "cte"
+            # Every derived node agrees with the writer path and the
+            # memory engine.
             for value in range(6):
                 node = TupleNode("B2", (value,))
                 assert reader.lineage(node) == resident.lineage(node)
+                assert reader.lineage(node) == memory.lineage(node)
 
 
 class TestCdssServingApi:
@@ -663,4 +660,4 @@ class TestCrossProcessReopen:
         out = json.loads(proc.stdout)
         assert out["lineage"] == expected["lineage"]
         assert out["derivable"] == expected["derivable"]
-        assert out["path"] in ("cte", "interval")
+        assert out["path"] == "cte"
