@@ -7,12 +7,14 @@ normally only exercised at exchange time — hours into a run for the
 workloads ROADMAP targets.  This pass exercises it at analysis time:
 
 * lower the program all three ways (exchange, derivability,
-  graph-query),
-* create the schema in a **schema-only** store (no data is ever
-  written — ``ensure_*`` builds empty tables), and
-* run ``EXPLAIN`` over every generated statement with its parameters
-  bound, which forces SQLite to prepare each one: a missing table or
-  column fails at prepare, a missing parameter fails at bind.
+  graph-query) — three instances of one
+  :class:`~repro.exchange.sql_plans.FixpointSQL` record,
+* create each one's schema in a **schema-only** store (no data is
+  ever written — ``ensure_schema`` builds empty tables), and
+* run ``EXPLAIN`` over every statement the record can issue
+  (:meth:`~repro.exchange.sql_plans.FixpointSQL.statements`) with its
+  parameters bound, which forces SQLite to prepare each one: a missing
+  table or column fails at prepare, a missing parameter fails at bind.
 
 ``EXPLAIN`` never executes the plan, so the pass touches zero rows
 even against a reopened store that holds live data.
@@ -21,17 +23,17 @@ even against a reopened store that holds live data.
 from __future__ import annotations
 
 import sqlite3
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.cdss.mapping import SchemaMapping
 from repro.errors import ExchangeError
-from repro.exchange.sql_plans import Statement
 from repro.relational.instance import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exchange.cache import CompiledExchangeProgram
     from repro.exchange.sql_executor import ExchangeStore
+    from repro.exchange.sql_plans import FixpointSQL
 
 
 def _explain(
@@ -62,24 +64,6 @@ def _explain(
     return 1
 
 
-def _explain_statement(
-    store: "ExchangeStore",
-    statement: Statement,
-    code: str,
-    subject: str,
-    diagnostics: list[Diagnostic],
-) -> int:
-    return _explain(
-        store,
-        statement.sql,
-        statement.params,
-        statement.runtime,
-        code,
-        subject,
-        diagnostics,
-    )
-
-
 def lowering_pass(
     program: "CompiledExchangeProgram",
     catalog: Catalog,
@@ -97,15 +81,10 @@ def lowering_pass(
     """
     from repro.exchange.sql_executor import ExchangeStore
     from repro.exchange.sql_plans import (
-        kill_sql,
         lower_derivability_program,
+        lower_lineage_program,
         lower_program,
-        pm_gc_sql,
-        stage_ancestor_sql,
-        stage_live_sql,
-        stage_new_sql,
     )
-    from repro.exchange.graph_queries import lower_lineage_program
 
     diagnostics: list[Diagnostic] = []
     explained = 0
@@ -126,129 +105,35 @@ def lowering_pass(
     own_store = store is None
     the_store = ExchangeStore() if store is None else store
     codec = the_store.codec
+    lowerings: list[tuple[str, str, Callable[[], "FixpointSQL"]]] = [
+        # exchange first: its schema holds the stored relations the
+        # other two instances join.
+        ("RA401", "exchange", lambda: lower_program(
+            compilable, catalog, mappings, codec
+        )),
+        ("RA402", "derivability", lambda: lower_derivability_program(
+            compilable, catalog, mappings, codec
+        )),
+        ("RA403", "graph-query", lambda: lower_lineage_program(
+            compilable, catalog, codec
+        )),
+    ]
     try:
-        # -- exchange lowering (RA401) --------------------------------
-        try:
-            psql = lower_program(compilable, catalog, mappings, codec)
-        except ExchangeError as exc:
-            psql = None
-            diagnostics.append(
-                Diagnostic("RA401", str(exc), subject="exchange")
-            )
-        if psql is not None:
-            the_store.ensure_schema(catalog, mappings, psql)
-            for rule_sql in psql.rules:
-                subject = rule_sql.rule_name
-                for plan in rule_sql.plans:
-                    explained += _explain_statement(
-                        the_store, plan.statement, "RA401", subject, diagnostics
-                    )
-                for insert in rule_sql.head_inserts:
-                    explained += _explain_statement(
-                        the_store, insert, "RA401", subject, diagnostics
-                    )
-                if rule_sql.provenance_insert is not None:
-                    explained += _explain_statement(
-                        the_store,
-                        rule_sql.provenance_insert,
-                        "RA401",
-                        subject,
-                        diagnostics,
-                    )
-            for relation in psql.relations:
+        for code, name, lower in lowerings:
+            try:
+                fsql = lower()
+            except ExchangeError as exc:
+                diagnostics.append(Diagnostic(code, str(exc), subject=name))
+                continue
+            the_store.ensure_schema(catalog, mappings, fsql)
+            for subject, statement in fsql.statements():
                 explained += _explain(
                     the_store,
-                    stage_new_sql(catalog, relation),
-                    {},
-                    (),
-                    "RA401",
-                    relation,
-                    diagnostics,
-                )
-        # -- derivability lowering (RA402) ----------------------------
-        try:
-            dsql = lower_derivability_program(
-                compilable, catalog, mappings, codec
-            )
-        except ExchangeError as exc:
-            dsql = None
-            diagnostics.append(
-                Diagnostic("RA402", str(exc), subject="derivability")
-            )
-        if dsql is not None:
-            the_store.ensure_derivability_schema(catalog, dsql)
-            for drule in dsql.rules:
-                subject = drule.rule_name
-                for dplan in drule.plans:
-                    explained += _explain_statement(
-                        the_store, dplan.statement, "RA402", subject, diagnostics
-                    )
-                for insert in drule.head_inserts:
-                    explained += _explain_statement(
-                        the_store, insert, "RA402", subject, diagnostics
-                    )
-                if drule.pm_insert is not None:
-                    explained += _explain_statement(
-                        the_store, drule.pm_insert, "RA402", subject, diagnostics
-                    )
-            for relation in dsql.relations:
-                explained += _explain(
-                    the_store,
-                    stage_live_sql(catalog, relation),
-                    {},
-                    (),
-                    "RA402",
-                    relation,
-                    diagnostics,
-                )
-            for relation in dsql.derived_relations:
-                explained += _explain(
-                    the_store,
-                    kill_sql(catalog, relation),
-                    {},
-                    (),
-                    "RA402",
-                    relation,
-                    diagnostics,
-                )
-            for _name, pm_table, live_pm, columns in dsql.pm_tables:
-                explained += _explain(
-                    the_store,
-                    pm_gc_sql(pm_table, live_pm, columns),
-                    {},
-                    (),
-                    "RA402",
-                    pm_table,
-                    diagnostics,
-                )
-        # -- graph-query lowering (RA403) -----------------------------
-        try:
-            lsql = lower_lineage_program(compilable, catalog, codec)
-        except ExchangeError as exc:
-            lsql = None
-            diagnostics.append(
-                Diagnostic("RA403", str(exc), subject="graph-query")
-            )
-        if lsql is not None:
-            the_store.ensure_graph_query_schema(catalog, lsql)
-            for lrule in lsql.rules:
-                subject = lrule.rule_name
-                for _head_relation, probe in lrule.head_probes:
-                    explained += _explain_statement(
-                        the_store, probe, "RA403", subject, diagnostics
-                    )
-                for insert in lrule.body_inserts:
-                    explained += _explain_statement(
-                        the_store, insert, "RA403", subject, diagnostics
-                    )
-            for relation in lsql.relations:
-                explained += _explain(
-                    the_store,
-                    stage_ancestor_sql(catalog, relation),
-                    {},
-                    (),
-                    "RA403",
-                    relation,
+                    statement.sql,
+                    statement.params,
+                    statement.runtime,
+                    code,
+                    subject,
                     diagnostics,
                 )
     finally:

@@ -20,18 +20,22 @@ component          role (paper anchor)
                    "update exchange ... performed within the DBMS",
                    including Skolem (labeled-null, footnote 1) value
                    construction in SQL and ``P_m`` maintenance
-                   (Section 4.1's provenance encoding).
-``sql_executor``   Set-oriented semi-naive fixpoint: one SQL statement per
-                   plan per round over delta tables, transactional
-                   instance + ``P_m`` maintenance, lazy write-back of the
-                   provenance graph (Figure 1) after convergence.
+                   (Section 4.1's provenance encoding).  Exchange, the
+                   liveness test and the lineage walk lower to one
+                   record, ``FixpointSQL``.
+``sql_executor``   The one set-oriented semi-naive round driver: one SQL
+                   statement per plan per round over delta tables, in
+                   one transaction per round; update exchange with lazy
+                   write-back of the provenance graph (Figure 1) after
+                   convergence, and relational deletion propagation.
 ``graph_queries``  Relational graph queries over the stored firing
                    history: ``lineage``/``derivability``/``trusted``
                    answered by recursive joins over ``P_m`` (backward
                    transitive-closure walk + the deletion propagation's
-                   liveness fixpoint), so store-resident mode covers
-                   the full paper lifecycle without ever materializing
-                   a provenance graph in Python.
+                   liveness fixpoint, both on the same round driver),
+                   so store-resident mode covers the full paper
+                   lifecycle without ever materializing a provenance
+                   graph in Python.
 ================  ==========================================================
 
 Engine selection happens at the API surface:

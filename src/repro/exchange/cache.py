@@ -36,9 +36,8 @@ from repro.datalog.planner import CompiledRule, compile_program
 from repro.datalog.rules import Program, Rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exchange.graph_queries import LineageSQL
     from repro.exchange.reach_index import ReachSQL
-    from repro.exchange.sql_plans import DerivabilitySQL, ProgramSQL
+    from repro.exchange.sql_plans import FixpointSQL
 
 
 def program_fingerprint(program: Program | Iterable[Rule]) -> str:
@@ -68,16 +67,16 @@ class CompiledExchangeProgram:
     rules: tuple[Rule, ...]
     #: one :class:`CompiledRule` per rule.
     compiled: tuple[CompiledRule, ...]
-    #: SQL lowering, attached lazily by the SQLite engine so a
-    #: memory-only workload never pays for it.
-    sql: "ProgramSQL | None" = field(default=None, repr=False)
+    #: SQL lowering of the exchange fixpoint, attached lazily by the
+    #: SQLite engine so a memory-only workload never pays for it.
+    sql: "FixpointSQL | None" = field(default=None, repr=False)
     #: SQL lowering of the relational DERIVABILITY test, attached
     #: lazily by the first store-resident deletion propagation (or
-    #: ``derivability``/``trusted`` graph query).
-    derivability: "DerivabilitySQL | None" = field(default=None, repr=False)
+    #: unindexed ``derivability``/``trusted`` graph query).
+    derivability: "FixpointSQL | None" = field(default=None, repr=False)
     #: SQL lowering of the backward lineage walk, attached lazily by
-    #: the first store-resident ``lineage`` query.
-    lineage: "LineageSQL | None" = field(default=None, repr=False)
+    #: the first unindexed store-resident ``lineage`` query.
+    lineage: "FixpointSQL | None" = field(default=None, repr=False)
     #: SQL lowering of the maintained reachability index
     #: (:mod:`repro.exchange.reach_index`), attached lazily by the
     #: first store-resident exchange or indexed graph query.

@@ -8,36 +8,37 @@ mode's last gap by answering the three :class:`~repro.cdss.system.CDSS`
 graph queries entirely in SQL — no
 :class:`~repro.provenance.graph.ProvenanceGraph` is ever materialized:
 
-* **derivability** (Q5) — the forward liveness fixpoint of PR 4's
-  deletion propagation, re-used verbatim: every stored
-  local-contribution row seeds the ``__live_*`` tables and the lowered
-  rule bodies grow them semi-naively; a tuple's annotation is its
-  membership in the resulting live set (the least fixpoint of the
-  DERIVABILITY semiring, so cyclically self-supporting derivations
-  annotate ``False`` exactly as under the graph engine's Kleene
-  iteration);
+* **derivability** (Q5) — the liveness fixpoint of deletion
+  propagation, verbatim: every stored local-contribution row seeds the
+  ``__live_*`` tables and the lowered rule bodies grow them
+  semi-naively; a tuple's annotation is its membership in the
+  resulting live set (the least fixpoint of the DERIVABILITY semiring,
+  so cyclically self-supporting derivations annotate ``False`` exactly
+  as under the graph engine's Kleene iteration);
 * **trust** (Q7) — the same fixpoint with the trust policy pushed
   *into* it, semiring-style: leaf conditions filter which
   local-contribution rows seed the live set (the TRUST semiring's leaf
   assignment), and distrusted mappings are excluded from the firing
   joins wholesale (the paper's ``Dm`` function annotates every firing
   of the mapping ``false``, which is the same as never enumerating it);
-* **lineage** (Q6) — an iterative *backward* transitive-closure walk:
+* **lineage** (Q6) — the backward transitive-closure walk lowered by
+  :func:`~repro.exchange.sql_plans.lower_lineage_program`:
   per-relation ``__anc_*`` ancestor closures grow from the query row,
-  and each round enumerates — via the shared
-  :func:`~repro.exchange.sql_plans._plan_firing_sql` lowering with a
-  :class:`~repro.exchange.sql_plans.HeadProbe` — exactly the firings
-  whose head row entered the closure last round, inserting their body
-  rows back into the closure; the answer is the closure's intersection
-  with the EDB (local-contribution) relations, i.e. the leaf set of
-  the LINEAGE semiring annotation.
+  each round enumerating exactly the firings whose head row entered
+  the closure last round and inserting their body rows back into it;
+  the answer is the closure's intersection with the EDB
+  (local-contribution) relations, i.e. the leaf set of the LINEAGE
+  semiring annotation.
 
-Because the store holds an exchange fixpoint, joining stored rows
-through a rule body enumerates exactly the recorded historical firings
-(each one a ``P_m`` row, widened to all variable slots), so these
-walks traverse the same derivation structure the graph engine would —
-the Gottlob–Orsi–Pieris move of rewriting a graph/ontological query
-into plain SQL over the underlying relations.
+Both run on the one round driver,
+:func:`~repro.exchange.sql_executor.run_fixpoint`, that also runs
+update exchange and deletion propagation.  Because the store holds an
+exchange fixpoint, joining stored rows through a rule body enumerates
+exactly the recorded historical firings (each one a ``P_m`` row,
+widened to all variable slots), so these walks traverse the same
+derivation structure the graph engine would — the Gottlob–Orsi–Pieris
+move of rewriting a graph/ontological query into plain SQL over the
+underlying relations.
 
 **Index first.**  The walks above are the ``use_index=False`` oracle.
 By default :class:`StoreGraphQueries` answers from the store's
@@ -60,40 +61,23 @@ engines agree node-for-node again (property-tested).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping as TMapping, Sequence
 
 from repro.cdss.mapping import SchemaMapping
 from repro.datalog.evaluation import EvaluationResult
-from repro.datalog.planner import CompiledRule
-from repro.errors import EvaluationError, ExchangeError
+from repro.errors import ExchangeError
 from repro.exchange.cache import CompiledExchangeProgram
 from repro.exchange.index_reads import IndexReadCore
 from repro.exchange.reach_index import ReachabilityIndex, lower_reach_program
+from repro.exchange.sql_executor import ExchangeStore, run_fixpoint, seed_rows
 from repro.exchange.sql_plans import (
-    DerivabilityRuleSQL,
-    DerivabilitySQL,
-    HeadProbe,
-    Statement,
-    _ParamAllocator,
-    _assign_slots,
-    _compile_term,
-    _lower_head_insert,
-    _plan_firing_sql,
-    _slot_types,
-    anc_cand_table,
-    anc_delta_table,
-    anc_new_table,
-    anc_table,
-    live_cand_table,
-    live_delta_table,
-    live_new_table,
-    live_table,
+    LINEAGE,
+    LIVENESS,
+    FixpointRule,
+    FixpointSQL,
     lower_derivability_program,
+    lower_lineage_program,
     lower_program,
-    query_fired_table,
-    stage_ancestor_sql,
-    stage_live_sql,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.provenance.graph import ProvenanceGraph, TupleNode
@@ -106,222 +90,6 @@ SEED_NOTHING = object()
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cdss.trust import TrustPolicy
-    from repro.exchange.sql_executor import ExchangeStore
-
-
-@dataclass(frozen=True)
-class LineageRuleSQL:
-    """One rule of the backward lineage walk."""
-
-    rule_name: str
-    num_slots: int
-    #: ``__qfired_<rule>``: every firing the walk has visited.
-    firing_table: str
-    #: per head atom: (head relation, backward firing enumeration
-    #: seeded from that relation's ancestor delta).
-    head_probes: tuple[tuple[str, Statement], ...]
-    #: per body atom: fresh visited firings -> ``__acand_<relation>``.
-    body_inserts: tuple[Statement, ...]
-
-
-@dataclass(frozen=True)
-class LineageSQL:
-    """SQL lowering of the backward lineage walk over a program."""
-
-    rules: tuple[LineageRuleSQL, ...]
-    #: every relation the walk may place in an ancestor closure.
-    relations: tuple[str, ...]
-    #: the leaf relations (local contributions): the closure's
-    #: intersection with these is the lineage answer.
-    edb_relations: tuple[str, ...]
-
-
-def lower_lineage_program(
-    compiled: Sequence[CompiledRule],
-    catalog: Catalog,
-    codec,
-) -> LineageSQL:
-    """Lower the whole program's backward lineage walk.
-
-    Shares the leaf model of the derivability lowering: every
-    local-contribution relation must be a pure EDB leaf (a mapping
-    deriving *into* one is rejected loudly there, and this lowering is
-    only reachable after that one succeeded at exchange time).
-    """
-    relations: dict[str, None] = {}
-    heads: set[str] = set()
-    for crule in compiled:
-        for rel in crule.body_relations:
-            relations.setdefault(rel, None)
-        for rel, _extractors in crule.head:
-            relations.setdefault(rel, None)
-            heads.add(rel)
-    rules = []
-    for crule in compiled:
-        if not crule.plans:
-            raise ExchangeError(
-                f"rule {crule.rule.name} cannot run on the sqlite engine "
-                "(its body contains terms the planner does not compile); "
-                'use exchange(engine="memory")'
-            )
-        name = crule.rule.name
-        fired = query_fired_table(name)
-        slot_types = _slot_types(crule, catalog)
-        # Any one plan gives a valid join order for the body — the walk
-        # enumerates *all* firings matching the head probe, not firings
-        # seeded from a particular delta atom — so take the first.
-        plan = crule.plans[0]
-        head_probes = []
-        for relation, extractors in crule.head:
-            alloc = _ParamAllocator(codec)
-            sql = _plan_firing_sql(
-                crule,
-                plan,
-                catalog,
-                alloc,
-                seed_from=plan.seed.relation,
-                join_of=lambda rel: rel,
-                guards=False,
-                target=fired,
-                probe=HeadProbe(
-                    anc_delta_table(relation),
-                    catalog[relation].attribute_names,
-                    tuple(extractors),
-                    slot_types,
-                ),
-                dedup=True,
-            )
-            head_probes.append((relation, Statement(sql, alloc.params)))
-        slot_of = _assign_slots(crule.rule)
-        body_inserts = tuple(
-            _lower_head_insert(
-                crule,
-                atom.relation,
-                tuple(_compile_term(term, slot_of) for term in atom.terms),
-                slot_types,
-                codec,
-                target=anc_cand_table(atom.relation),
-                fired=fired,
-            )
-            for atom in crule.rule.body
-        )
-        rules.append(
-            LineageRuleSQL(
-                name, crule.num_slots, fired, tuple(head_probes), body_inserts
-            )
-        )
-    return LineageSQL(
-        tuple(rules),
-        tuple(relations),
-        tuple(r for r in relations if r not in heads),
-    )
-
-
-def run_liveness_fixpoint(
-    store: "ExchangeStore",
-    dsql: DerivabilitySQL,
-    catalog: Catalog,
-    delta_counts: dict[str, int],
-    max_iterations: int | None = None,
-    rules: Sequence[DerivabilityRuleSQL] | None = None,
-    record_pm: bool = True,
-    tracer: "Tracer | NullTracer" = NULL_TRACER,
-) -> tuple[int, int]:
-    """Grow the seeded ``__live_*`` sets to their least fixpoint.
-
-    The caller has already staged the seed rows into the live and
-    live-delta tables and passes their per-relation counts.  ``rules``
-    optionally restricts the fixpoint to a subset of the program (trust
-    excludes distrusted mappings); ``record_pm`` controls whether the
-    surviving-``P_m`` projections are maintained (deletion propagation
-    needs them for garbage collection, queries do not).
-
-    Returns ``(iterations, firing_rows)`` where ``firing_rows`` counts
-    every live firing enumerated — the relational analogue of the
-    derivation nodes a graph walk would visit.
-
-    This single loop is the substrate under deletion propagation
-    (:meth:`~repro.exchange.sql_executor.SQLiteExchangeEngine.propagate_deletions`)
-    and the ``derivability``/``trusted`` queries, which is what keeps
-    the two semantics mechanically identical.
-
-    ``tracer`` emits one ``fixpoint.round`` span per iteration (round
-    number + live firings enumerated); the default no-op tracer costs
-    one no-op context entry per round.
-    """
-    conn = store.connection
-    if rules is None:
-        rules = dsql.rules
-    stage_sql = {
-        relation: stage_live_sql(catalog, relation)
-        for relation in dsql.derived_relations
-    }
-    iteration = 0
-    firing_rows = 0
-    while any(
-        delta_counts.get(plan.seed_relation)
-        for rule in rules
-        for plan in rule.plans
-    ):
-        iteration += 1
-        if max_iterations is not None and iteration > max_iterations:
-            raise EvaluationError(
-                f"derivability fixpoint did not converge within "
-                f"{max_iterations} iterations"
-            )
-        with tracer.span("fixpoint.round") as round_span, conn:
-            fired_before = firing_rows
-            watermarks = {
-                rule.rule_name: store.max_rowid(rule.firing_table)
-                for rule in rules
-            }
-            for rule in rules:
-                for plan in rule.plans:
-                    if delta_counts.get(plan.seed_relation):
-                        conn.execute(
-                            plan.statement.sql, dict(plan.statement.params)
-                        )
-            for rule in rules:
-                watermark = watermarks[rule.rule_name]
-                fired = store.max_rowid(rule.firing_table) - watermark
-                if fired <= 0:
-                    continue
-                firing_rows += fired
-                runtime = {"wm": watermark}
-                for statement in rule.head_inserts:
-                    conn.execute(statement.sql, {**statement.params, **runtime})
-                if record_pm and rule.pm_insert is not None:
-                    conn.execute(
-                        rule.pm_insert.sql,
-                        {**rule.pm_insert.params, **runtime},
-                    )
-            for relation in dsql.derived_relations:
-                conn.execute(stage_sql[relation])
-            for relation in dsql.relations:
-                conn.execute(f"DELETE FROM {_q(live_delta_table(relation))}")
-            new_counts: dict[str, int] = {}
-            for relation in dsql.derived_relations:
-                fresh = store.count(live_new_table(relation))
-                if fresh:
-                    conn.execute(
-                        f"INSERT INTO {_q(live_table(relation))} "
-                        f"SELECT * FROM {_q(live_new_table(relation))}"
-                    )
-                    conn.execute(
-                        f"INSERT INTO {_q(live_delta_table(relation))} "
-                        f"SELECT * FROM {_q(live_new_table(relation))}"
-                    )
-                    conn.execute(
-                        f"DELETE FROM {_q(live_new_table(relation))}"
-                    )
-                    new_counts[relation] = fresh
-                conn.execute(f"DELETE FROM {_q(live_cand_table(relation))}")
-            round_span.set("round", iteration).set(
-                "firings", firing_rows - fired_before
-            )
-        delta_counts.clear()
-        delta_counts.update(new_counts)
-    return iteration, firing_rows
 
 
 class StoreGraphQueries:
@@ -347,7 +115,7 @@ class StoreGraphQueries:
 
     def __init__(
         self,
-        store: "ExchangeStore",
+        store: ExchangeStore,
         program: CompiledExchangeProgram,
         catalog: Catalog,
         mappings: TMapping[str, SchemaMapping],
@@ -418,25 +186,21 @@ class StoreGraphQueries:
             )
         return core, index, miss
 
-    def _derivability_sql(self) -> DerivabilitySQL:
+    def _liveness_sql(self) -> FixpointSQL:
         program = self.program
         if program.derivability is None:
             program.derivability = lower_derivability_program(
                 program.compiled, self.catalog, self.mappings, self.store.codec
             )
-        dsql = program.derivability
-        self.store.ensure_derivability_schema(self.catalog, dsql)
-        return dsql
+        return program.derivability
 
-    def _lineage_sql(self) -> LineageSQL:
+    def _lineage_sql(self) -> FixpointSQL:
         program = self.program
         if program.lineage is None:
             program.lineage = lower_lineage_program(
                 program.compiled, self.catalog, self.store.codec
             )
-        lsql = program.lineage
-        self.store.ensure_graph_query_schema(self.catalog, lsql)
-        return lsql
+        return program.lineage
 
     #: batch size of the streamed (leaf-condition-filtered) seeding.
     SEED_BATCH = 10_000
@@ -451,39 +215,21 @@ class StoreGraphQueries:
         so a conditioned relation never materializes its extension in
         Python (resident working sets may exceed memory).
         """
-        conn = self.store.connection
+        store = self.store
         if spec is None:
-            for table in (live_table(relation), live_delta_table(relation)):
-                conn.execute(
-                    f"INSERT INTO {_q(table)} SELECT * FROM {_q(relation)}"
-                )
-            return self.store.cached_count(relation)
+            return seed_rows(store, LIVENESS, relation)
         if spec is SEED_NOTHING:
             return 0
         schema = self.catalog[relation]
-        codec = self.store.codec
-        placeholders = ", ".join("?" for _ in schema.attribute_names)
-        inserts = [
-            f"INSERT INTO {_q(table)} VALUES ({placeholders})"
-            for table in (live_table(relation), live_delta_table(relation))
-        ]
         count = 0
         batch: list[Row] = []
-
-        def flush() -> None:
-            for insert in inserts:
-                conn.executemany(insert, batch)
-            batch.clear()
-
-        for raw in conn.execute(f"SELECT * FROM {_q(relation)}"):
-            if spec(codec.decode_row(raw, schema)):
+        for raw in store.connection.execute(f"SELECT * FROM {_q(relation)}"):
+            if spec(store.codec.decode_row(raw, schema)):
                 batch.append(raw)
-                count += 1
                 if len(batch) >= self.SEED_BATCH:
-                    flush()
-        if batch:
-            flush()
-        return count
+                    count += seed_rows(store, LIVENESS, relation, batch)
+                    batch = []
+        return count + seed_rows(store, LIVENESS, relation, batch)
 
     def _membership(self, relation: str) -> "list[tuple[Row, bool]]":
         """Every stored row of *relation*, decoded, with its membership
@@ -494,7 +240,7 @@ class StoreGraphQueries:
         select = ", ".join(f'r.{_q(c)}' for c in cols)
         cursor = self.store.connection.execute(
             f"SELECT {select}, EXISTS(SELECT 1 FROM "
-            f"{_q(live_table(relation))} AS l WHERE {match}) "
+            f"{_q(LIVENESS.target + relation)} AS l WHERE {match}) "
             f"FROM {_q(relation)} AS r"
         )
         codec = self.store.codec
@@ -506,39 +252,31 @@ class StoreGraphQueries:
     def _annotate_by_liveness(
         self,
         seeds: dict[str, object],
-        rules: Sequence[DerivabilityRuleSQL] | None,
+        rules: Sequence[FixpointRule] | None,
         max_iterations: int | None,
     ) -> tuple[dict[TupleNode, bool], EvaluationResult]:
         """Shared derivability/trust body: seed (per-relation spec, see
         :meth:`_seed_live`; absent = full extension), run the liveness
         fixpoint, and read every stored row's verdict."""
-        dsql = self._derivability_sql()
+        fsql = self._liveness_sql()
         store = self.store
-        store.reset_derivability(dsql)
-        try:
-            delta_counts: dict[str, int] = {}
+        with store.work_tables(
+            self.catalog, self.mappings, fsql, self.program.fingerprint
+        ):
             with store.connection:
-                for relation in dsql.edb_relations:
-                    count = self._seed_live(relation, seeds.get(relation))
-                    if count:
-                        delta_counts[relation] = count
-            iterations, scanned = run_liveness_fixpoint(
-                store,
-                dsql,
-                self.catalog,
-                delta_counts,
-                max_iterations,
-                rules=rules,
-                record_pm=False,
-                tracer=self.tracer,
+                deltas = {
+                    relation: self._seed_live(relation, seeds.get(relation))
+                    for relation in fsql.edb_relations
+                }
+            iterations, scanned, _ = run_fixpoint(
+                store, fsql, deltas, rules=rules,
+                max_iterations=max_iterations, tracer=self.tracer,
             )
             values = {
                 TupleNode(relation, row): live
-                for relation in dsql.relations
+                for relation in fsql.relations
                 for row, live in self._membership(relation)
             }
-        finally:
-            store.reset_derivability(dsql)
         return values, self._result(iterations, scanned)
 
     # -- the three queries --------------------------------------------------
@@ -583,9 +321,9 @@ class StoreGraphQueries:
             return dict(answer.value), self._index_result(
                 answer.scanned, miss
             )
-        dsql = self._derivability_sql()
+        fsql = self._liveness_sql()
         seeds: dict[str, object] = {}
-        for relation in dsql.edb_relations:
+        for relation in fsql.edb_relations:
             condition = policy.condition_for(relation)
             if condition is None:
                 if not policy.default_trust:
@@ -594,8 +332,8 @@ class StoreGraphQueries:
             seeds[relation] = condition
         rules = tuple(
             rule
-            for rule in dsql.rules
-            if rule.rule_name not in policy.distrusted_mappings
+            for rule in fsql.rules
+            if rule.name not in policy.distrusted_mappings
         )
         return self._annotate_by_liveness(seeds, rules, max_iterations)
 
@@ -620,130 +358,39 @@ class StoreGraphQueries:
             if answer.value is None:
                 raise KeyError(node)
             return answer.value, self._index_result(answer.scanned, miss)
-        lsql = self._lineage_sql()
-        if node.relation not in lsql.relations:
+        fsql = self._lineage_sql()
+        if node.relation not in fsql.relations:
             raise KeyError(node)
         store = self.store
-        schema = catalog[node.relation]
         encoded = store.codec.encode_row(tuple(node.values))
         condition = " AND ".join(
-            f"{_q(c)} IS ?" for c in schema.attribute_names
+            f"{_q(c)} IS ?" for c in catalog[node.relation].attribute_names
         )
         stored = store.connection.execute(
             f"SELECT 1 FROM {_q(node.relation)} WHERE {condition}", encoded
         ).fetchone()
         if stored is None:
             raise KeyError(node)
-
-        store.reset_graph_query(lsql)
-        try:
-            iterations, scanned = self._walk_lineage(
-                lsql, node.relation, encoded, max_iterations
+        with store.work_tables(
+            catalog, self.mappings, fsql, self.program.fingerprint
+        ):
+            with store.connection:
+                seed_rows(store, LINEAGE, node.relation, [encoded])
+            iterations, scanned, _ = run_fixpoint(
+                store, fsql, {node.relation: 1},
+                max_iterations=max_iterations, tracer=self.tracer,
             )
             leaves = frozenset(
                 TupleNode(relation, row)
-                for relation in lsql.edb_relations
+                for relation in fsql.edb_relations
                 for row in self._closure_rows(relation)
             )
-        finally:
-            store.reset_graph_query(lsql)
         return leaves, self._result(iterations, scanned)
-
-    def _walk_lineage(
-        self,
-        lsql: LineageSQL,
-        seed_relation: str,
-        encoded_seed: Row,
-        max_iterations: int | None,
-    ) -> tuple[int, int]:
-        """The backward transitive-closure loop."""
-        store = self.store
-        conn = store.connection
-        placeholders = ", ".join("?" for _ in encoded_seed)
-        with conn:
-            for table in (anc_table, anc_delta_table):
-                conn.execute(
-                    f"INSERT INTO {_q(table(seed_relation))} "
-                    f"VALUES ({placeholders})",
-                    encoded_seed,
-                )
-        delta_counts: dict[str, int] = {seed_relation: 1}
-        stage_sql = {
-            relation: stage_ancestor_sql(self.catalog, relation)
-            for relation in lsql.relations
-        }
-        iteration = 0
-        firing_rows = 0
-        while any(
-            delta_counts.get(head_relation)
-            for rule in lsql.rules
-            for head_relation, _stmt in rule.head_probes
-        ):
-            iteration += 1
-            if max_iterations is not None and iteration > max_iterations:
-                raise EvaluationError(
-                    f"lineage walk did not converge within "
-                    f"{max_iterations} iterations"
-                )
-            with self.tracer.span("walk.round") as round_span, conn:
-                fired_before = firing_rows
-                watermarks = {
-                    rule.rule_name: store.max_rowid(rule.firing_table)
-                    for rule in lsql.rules
-                }
-                for rule in lsql.rules:
-                    for head_relation, statement in rule.head_probes:
-                        if delta_counts.get(head_relation):
-                            conn.execute(
-                                statement.sql, dict(statement.params)
-                            )
-                for rule in lsql.rules:
-                    watermark = watermarks[rule.rule_name]
-                    fired = (
-                        store.max_rowid(rule.firing_table) - watermark
-                    )
-                    if fired <= 0:
-                        continue
-                    firing_rows += fired
-                    runtime = {"wm": watermark}
-                    for statement in rule.body_inserts:
-                        conn.execute(
-                            statement.sql, {**statement.params, **runtime}
-                        )
-                for relation in lsql.relations:
-                    conn.execute(stage_sql[relation])
-                    conn.execute(
-                        f"DELETE FROM {_q(anc_delta_table(relation))}"
-                    )
-                new_counts: dict[str, int] = {}
-                for relation in lsql.relations:
-                    fresh = store.count(anc_new_table(relation))
-                    if fresh:
-                        conn.execute(
-                            f"INSERT INTO {_q(anc_table(relation))} "
-                            f"SELECT * FROM {_q(anc_new_table(relation))}"
-                        )
-                        conn.execute(
-                            f"INSERT INTO {_q(anc_delta_table(relation))} "
-                            f"SELECT * FROM {_q(anc_new_table(relation))}"
-                        )
-                        conn.execute(
-                            f"DELETE FROM {_q(anc_new_table(relation))}"
-                        )
-                        new_counts[relation] = fresh
-                    conn.execute(
-                        f"DELETE FROM {_q(anc_cand_table(relation))}"
-                    )
-                round_span.set("round", iteration).set(
-                    "firings", firing_rows - fired_before
-                )
-                delta_counts = new_counts
-        return iteration, firing_rows
 
     def _closure_rows(self, relation: str) -> "list[Row]":
         schema = self.catalog[relation]
         codec = self.store.codec
         cursor = self.store.connection.execute(
-            f"SELECT * FROM {_q(anc_table(relation))}"
+            f"SELECT * FROM {_q(LINEAGE.target + relation)}"
         )
         return [codec.decode_row(raw, schema) for raw in cursor]

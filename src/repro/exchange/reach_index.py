@@ -45,15 +45,16 @@ import sqlite3
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.datalog.planner import CompiledRule, _assign_slots, _compile_term
+from repro.datalog.planner import CompiledRule
 from repro.exchange.sql_plans import (
+    EXCHANGE,
+    LIVENESS,
     _ParamAllocator,
     _extractor_sql,
     _plan_firing_sql,
     _slot_types,
     Statement,
-    fired_table,
-    live_table,
+    body_extractors,
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.relational.instance import Catalog
@@ -163,7 +164,7 @@ def _endpoint_insert(
     sql = (
         f"{verb} INTO {_q(target)} ({', '.join(columns)})\n"
         f"SELECT {', '.join(select)}\n"
-        f"FROM {_q(fired_table(crule.rule.name))} AS f\n"
+        f"FROM {_q(EXCHANGE.fired + crule.rule.name)} AS f\n"
         f"JOIN {_q(relation)} AS r ON {on}\n"
         f"WHERE f.rowid > :wm"
     )
@@ -191,15 +192,9 @@ def lower_reach_program(
     rules = []
     for crule in compiled:
         name = crule.rule.name
+        fired = EXCHANGE.fired + name
         slot_types = _slot_types(crule, catalog)
-        slot_of = _assign_slots(crule.rule)
-        body_atoms = tuple(
-            (
-                atom.relation,
-                tuple(_compile_term(term, slot_of) for term in atom.terms),
-            )
-            for atom in crule.rule.body
-        )
+        body_atoms = body_extractors(crule)
         head_sqls = []
         for relation, extractors in crule.head:
             fire = _endpoint_insert(
@@ -214,36 +209,22 @@ def lower_reach_program(
                     # the same stored row — one hyperedge endpoint.
                     _endpoint_insert(
                         crule, BODY_TABLE, "body", "bbase", body_rel,
-                        body_extractors, slot_types, catalog, codec,
+                        body_ext, slot_types, catalog, codec,
                         or_ignore=True,
                     ),
                 )
-                for body_rel, body_extractors in body_atoms
+                for body_rel, body_ext in body_atoms
             )
             head_sqls.append(ReachHeadSQL(relation, fire, body_inserts))
         # Any one plan gives a valid join order for re-enumerating the
         # complete firing history: seeded from the full stored seed
         # relation with no guards, the joins recover every recorded
         # firing (the store holds an exchange fixpoint).
-        plan = crule.plans[0]
-        alloc = _ParamAllocator(codec)
-        enum_sql = _plan_firing_sql(
-            crule,
-            plan,
-            catalog,
-            alloc,
-            seed_from=plan.seed.relation,
-            join_of=lambda rel: rel,
-            guards=False,
-            target=fired_table(name),
+        enumerate_all = _plan_firing_sql(
+            crule, crule.plans[0], catalog, codec, fired
         )
         rules.append(
-            ReachRuleSQL(
-                name,
-                fired_table(name),
-                Statement(enum_sql, alloc.params),
-                tuple(head_sqls),
-            )
+            ReachRuleSQL(name, fired, enumerate_all, tuple(head_sqls))
         )
     return ReachSQL(tuple(rules), tuple(relations))
 
@@ -560,7 +541,7 @@ class ReachabilityIndex:
                 f'INSERT INTO "__rq_dead" '
                 f"SELECT r.rowid + {base} FROM {_q(relation)} AS r "
                 f"WHERE NOT EXISTS (SELECT 1 FROM "
-                f"{_q(live_table(relation))} AS l WHERE {match})"
+                f"{_q(LIVENESS.target + relation)} AS l WHERE {match})"
             )
 
     def finish_prune(self) -> None:

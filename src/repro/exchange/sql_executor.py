@@ -1,22 +1,26 @@
-"""Set-oriented semi-naive update exchange inside SQLite.
+"""Set-oriented semi-naive fixpoints inside SQLite.
 
 This is the out-of-core counterpart of
 :func:`repro.datalog.evaluation.evaluate`: every semi-naive round runs
 *whole delta batches* as one SQL statement per compiled plan, instead
-of enumerating candidate rows in Python.  The round structure mirrors
-the in-memory engine exactly, so both engines produce identical
-instances and provenance graphs:
+of enumerating candidate rows in Python.  :func:`run_fixpoint` is the
+one round driver; it runs all three lowerings of
+:mod:`repro.exchange.sql_plans` — update exchange, the liveness test
+of deletion propagation and the unindexed graph queries, and the
+backward lineage walk.  One round, in one transaction:
 
-1. every plan whose seed relation has a non-empty delta fires as one
-   ``INSERT INTO __fired_<rule> SELECT DISTINCT ...`` join over the
-   frozen relation mirror and the ``__delta_*`` tables;
-2. the round's fresh firings drive the head inserts (into per-relation
-   candidate tables) and the ``P_m`` provenance-relation maintenance
-   (Section 4.1) — all inside one transaction per round;
-3. at round end, distinct candidates not already stored become the next
-   delta and are published to the relation mirror — insertions never
-   join within the round that produced them (snapshot semantics).
+1. every trigger whose relation has a non-empty delta fires as one
+   ``INSERT INTO <firing table> SELECT DISTINCT ...`` join;
+2. the fresh firings of each rule that fired drive its follow-ups:
+   candidate rows per relation and, for exchange, the ``P_m``
+   provenance-relation maintenance (Section 4.1);
+3. at round end, each relation that received candidates stages the
+   distinct ones its instance keeps; they become the next delta and
+   join the target set — insertions never join within the round that
+   produced them (snapshot semantics).
 
+For exchange the round structure mirrors the in-memory engine exactly,
+so both engines produce identical instances and provenance graphs.
 The provenance graph is written back *lazily*: firings accumulate in
 relational form during the fixpoint and are converted to
 :class:`~repro.provenance.graph.DerivationNode` objects (and the head
@@ -26,15 +30,17 @@ after convergence.
 :class:`ExchangeStore` owns the SQLite database (``:memory:`` or an
 on-disk path for out-of-core workloads), keeps one
 :class:`~repro.storage.encoding.ValueCodec` so labeled nulls intern
-consistently, and registers the ``repro_skolem`` SQL function that
-builds Skolem values inside queries.
+consistently, registers the ``repro_skolem`` SQL function that builds
+Skolem values inside queries, and creates and empties every
+instance's work tables.
 """
 
 from __future__ import annotations
 
 import os
 import sqlite3
-from typing import Iterable, Mapping as TMapping
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Mapping as TMapping, Sequence
 
 from repro.cdss.mapping import SchemaMapping
 from repro.datalog.evaluation import EvaluationResult
@@ -42,29 +48,19 @@ from repro.datalog.planner import ground_extractors
 from repro.datalog.terms import SkolemValue
 from repro.errors import EvaluationError, ExchangeError
 from repro.exchange.cache import CompiledExchangeProgram
-from repro.exchange.graph_queries import LineageSQL, run_liveness_fixpoint
 from repro.exchange.index_reads import PreparedSQL
 from repro.exchange.reach_index import ReachabilityIndex, lower_reach_program
 from repro.exchange.sql_plans import (
-    DerivabilitySQL,
-    ProgramSQL,
-    anc_cand_table,
-    anc_delta_table,
-    anc_new_table,
-    anc_table,
-    cand_table,
-    delta_table,
-    kill_sql,
-    live_cand_table,
-    live_delta_table,
-    live_new_table,
-    live_table,
+    EXCHANGE,
+    LIVENESS,
+    Fixpoint,
+    FixpointRule,
+    FixpointSQL,
+    _slot_types,
+    body_extractors,
     lower_derivability_program,
     lower_program,
-    new_table,
-    pm_gc_sql,
     slot_column,
-    stage_new_sql,
 )
 from repro.obs.sqlite_hook import StatementTrace, statement_fingerprint
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
@@ -169,11 +165,12 @@ class ExchangeStore:
         #: resident-mode exchanges never rescan whole tables with
         #: COUNT(*) (see :meth:`cached_count`).
         self._row_counts: dict[str, int] = {}
-        #: program fingerprints whose :meth:`ensure_schema` DDL already
-        #: ran on this connection (tables are never dropped, so one
-        #: pass per program suffices — repeated graph queries skip the
-        #: whole CREATE TABLE IF NOT EXISTS sweep).
-        self._schema_ready: set[str] = set()
+        #: program fingerprints, and (fingerprint, instance) pairs,
+        #: whose :meth:`ensure_schema` DDL already ran on this
+        #: connection (tables are never dropped, so one pass per
+        #: program suffices — warm calls skip the whole CREATE ... IF
+        #: NOT EXISTS sweep).
+        self._schema_ready: set[object] = set()
         #: ``prepared(key, builder)``: the built-SQL cache of the hot
         #: index-read statements on this connection.
         self.prepared = PreparedSQL()
@@ -315,187 +312,91 @@ class ExchangeStore:
         self,
         catalog: Catalog,
         mappings: TMapping[str, SchemaMapping],
-        sql: ProgramSQL,
+        fsql: FixpointSQL,
         token: str | None = None,
     ) -> None:
-        """Create (idempotently) every table and index the program needs.
+        """Create (idempotently) the stored relations, the ``P_m``
+        tables, and *fsql*'s work tables and indexes.
 
         *token* (the compiled program's fingerprint, which covers the
-        catalog via the per-relation local rules) memoizes the sweep:
-        once it has run on this connection for a given program, later
-        calls return immediately — this keeps warm graph queries from
-        re-issuing a few hundred ``CREATE TABLE IF NOT EXISTS``
-        statements per call."""
-        if token is not None and token in self._schema_ready:
+        catalog via the per-relation local rules) memoizes both parts:
+        the stored schema once per program, the work tables once per
+        program and instance — warm calls issue no DDL at all.  The
+        work tables with an instance's ``indexed`` prefixes get an
+        index on all their columns (the probes of the round-end stage,
+        the exchange guards and the lineage dedup)."""
+        ready = self._schema_ready
+        work = (token, fsql.kind.fired)
+        if token is not None and work in ready:
             return
-        for schema in catalog:
-            for name in (
-                schema.name,
-                delta_table(schema.name),
-                new_table(schema.name),
-                cand_table(schema.name),
-            ):
-                self._create_table(name, schema.attribute_names)
-            dcols = ", ".join(_q(c) for c in schema.attribute_names)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{_q('__ix_' + delta_table(schema.name))} "
-                f"ON {_q(delta_table(schema.name))} ({dcols})"
-            )
-        for rule in sql.rules:
-            self._create_table(
-                rule.firing_table,
-                tuple(slot_column(s) for s in range(rule.num_slots)),
-            )
-        for mapping in mappings.values():
-            if mapping.is_superfluous or not mapping.provenance_columns:
-                continue
-            schema = mapping.provenance_schema()
-            self._create_table(schema.name, schema.attribute_names)
-            # Indexed on every column (as in the paper's storage layer):
-            # the per-round dedup probe and path traversals may enter a
-            # provenance relation from either side.
-            for attribute in schema.attribute_names:
-                self.connection.execute(
-                    f"CREATE INDEX IF NOT EXISTS "
-                    f"{_q(f'__ix_{schema.name}__{attribute}')} "
-                    f"ON {_q(schema.name)} ({_q(attribute)})"
+        if token is None or token not in ready:
+            for schema in catalog:
+                self._create_table(schema.name, schema.attribute_names)
+            for mapping in mappings.values():
+                if mapping.is_superfluous or not mapping.provenance_columns:
+                    continue
+                schema = mapping.provenance_schema()
+                self._create_table(schema.name, schema.attribute_names)
+                # Indexed on every column (as in the paper's storage
+                # layer): the per-round dedup probe and path traversals
+                # may enter a provenance relation from either side.
+                for attribute in schema.attribute_names:
+                    self._create_index(
+                        f"__ix_{schema.name}__{attribute}",
+                        schema.name,
+                        (attribute,),
+                    )
+        for name, columns, _filled in fsql.work_tables(catalog):
+            self._create_table(name, columns)
+            if columns and name.startswith(fsql.kind.indexed):
+                self._create_index("__ix_" + name, name, columns)
+        for relation, positions in fsql.indexes:
+            if relation in catalog:
+                names = catalog[relation].attribute_names
+                self._create_index(
+                    f"__ix_{relation}__{'_'.join(str(p) for p in positions)}",
+                    relation,
+                    tuple(names[p] for p in positions),
                 )
-        for relation, positions in sql.index_requirements:
-            if relation not in catalog:
-                continue
-            names = catalog[relation].attribute_names
-            cols = ", ".join(_q(names[p]) for p in positions)
-            suffix = "_".join(str(p) for p in positions)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{_q(f'__ix_{relation}__{suffix}')} "
-                f"ON {_q(relation)} ({cols})"
-            )
         self.connection.commit()
         if token is not None:
-            self._schema_ready.add(token)
+            ready.update((token, work))
 
-    def ensure_derivability_schema(
-        self, catalog: Catalog, dsql: DerivabilitySQL
+    def _create_index(
+        self, name: str, table: str, columns: tuple[str, ...]
     ) -> None:
-        """Create (idempotently) the deletion-propagation work tables:
-        per-relation live/delta/candidate/new stages (the live table
-        indexed on all columns — the kill sweep probes it once per
-        stored row), per-rule live-firing tables, and per-mapping
-        surviving-``P_m`` projections."""
-        for relation in dsql.relations:
-            schema = catalog[relation]
-            for name in (
-                live_table(relation),
-                live_delta_table(relation),
-                live_cand_table(relation),
-                live_new_table(relation),
-            ):
-                self._create_table(name, schema.attribute_names)
-            cols = ", ".join(_q(c) for c in schema.attribute_names)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{_q('__ix_' + live_table(relation))} "
-                f"ON {_q(live_table(relation))} ({cols})"
-            )
-        for rule in dsql.rules:
-            self._create_table(
-                rule.firing_table,
-                tuple(slot_column(s) for s in range(rule.num_slots)),
-            )
-        for _name, _pm_table, live_pm, columns in dsql.pm_tables:
-            self._create_table(live_pm, columns)
-            cols = ", ".join(_q(c) for c in columns)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS {_q('__ix_' + live_pm)} "
-                f"ON {_q(live_pm)} ({cols})"
-            )
-        self.connection.commit()
+        cols = ", ".join(_q(c) for c in columns)
+        self.connection.execute(
+            f"CREATE INDEX IF NOT EXISTS {_q(name)} ON {_q(table)} ({cols})"
+        )
 
-    def ensure_graph_query_schema(
-        self, catalog: Catalog, lsql: LineageSQL
-    ) -> None:
-        """Create (idempotently) the lineage walk's closure-staging
-        tables: per-relation ancestor/delta/candidate/new stages (the
-        ancestor table indexed on all columns — the round-end stage
-        probes it once per candidate) and per-rule visited-firing
-        tables (indexed on all slots for the walk's dedup probe)."""
-        for relation in lsql.relations:
-            schema = catalog[relation]
-            for name in (
-                anc_table(relation),
-                anc_delta_table(relation),
-                anc_cand_table(relation),
-                anc_new_table(relation),
-            ):
-                self._create_table(name, schema.attribute_names)
-            cols = ", ".join(_q(c) for c in schema.attribute_names)
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{_q('__ix_' + anc_table(relation))} "
-                f"ON {_q(anc_table(relation))} ({cols})"
-            )
-        for rule in lsql.rules:
-            columns = tuple(slot_column(s) for s in range(rule.num_slots))
-            self._create_table(rule.firing_table, columns)
-            if columns:
-                cols = ", ".join(_q(c) for c in columns)
-                self.connection.execute(
-                    f"CREATE INDEX IF NOT EXISTS "
-                    f"{_q('__ix_' + rule.firing_table)} "
-                    f"ON {_q(rule.firing_table)} ({cols})"
-                )
-        self.connection.commit()
-
-    def reset_graph_query(self, lsql: LineageSQL) -> None:
-        """Clear every lineage-walk work table (before a query, and
-        again after it so closures — potentially as large as the
-        query node's full ancestry — do not linger on disk)."""
+    def reset_work_tables(self, catalog: Catalog, fsql: FixpointSQL) -> None:
+        """Empty every work table a run of *fsql* may fill (the
+        candidate stages of relations no follow-up fills stay empty
+        by construction and are skipped)."""
         with self.connection:
-            for relation in lsql.relations:
-                for name in (
-                    anc_table(relation),
-                    anc_delta_table(relation),
-                    anc_cand_table(relation),
-                    anc_new_table(relation),
-                ):
+            for name, _columns, filled in fsql.work_tables(catalog):
+                if filled:
                     self.connection.execute(f"DELETE FROM {_q(name)}")
-            for rule in lsql.rules:
-                self.connection.execute(f"DELETE FROM {_q(rule.firing_table)}")
 
-    def reset_derivability(self, dsql: DerivabilitySQL) -> None:
-        """Clear every deletion-propagation work table (before a run,
-        and again after it so the live sets — as large as the surviving
-        instance — do not linger on disk)."""
-        with self.connection:
-            for relation in dsql.relations:
-                for name in (
-                    live_table(relation),
-                    live_delta_table(relation),
-                    live_cand_table(relation),
-                    live_new_table(relation),
-                ):
-                    self.connection.execute(f"DELETE FROM {_q(name)}")
-            for rule in dsql.rules:
-                self.connection.execute(f"DELETE FROM {_q(rule.firing_table)}")
-            for _name, _pm_table, live_pm, _columns in dsql.pm_tables:
-                self.connection.execute(f"DELETE FROM {_q(live_pm)}")
-
-    # -- per-run state ------------------------------------------------------
-
-    def reset_run(self, catalog: Catalog, sql: ProgramSQL) -> None:
-        """Clear firing logs and working tables for a fresh run."""
-        with self.connection:
-            for rule in sql.rules:
-                self.connection.execute(f"DELETE FROM {_q(rule.firing_table)}")
-            for schema in catalog:
-                for name in (
-                    delta_table(schema.name),
-                    new_table(schema.name),
-                    cand_table(schema.name),
-                ):
-                    self.connection.execute(f"DELETE FROM {_q(name)}")
+    @contextmanager
+    def work_tables(
+        self,
+        catalog: Catalog,
+        mappings: TMapping[str, SchemaMapping],
+        fsql: FixpointSQL,
+        token: str,
+    ) -> Iterator[None]:
+        """Ensure and empty *fsql*'s work tables around one run, and
+        empty them again afterwards, win or lose: live sets and
+        ancestor closures can rival the instance in size and must not
+        linger on disk."""
+        self.ensure_schema(catalog, mappings, fsql, token)
+        self.reset_work_tables(catalog, fsql)
+        try:
+            yield
+        finally:
+            self.reset_work_tables(catalog, fsql)
 
     def sync_instance(
         self, instance: Instance, resident: bool = False
@@ -726,6 +627,158 @@ class ExchangeStore:
         return f"<ExchangeStore path={self.path!r} {state}>"
 
 
+def seed_rows(
+    store: ExchangeStore,
+    kind: Fixpoint,
+    relation: str,
+    rows: "Sequence[Sequence[object]] | None" = None,
+) -> int:
+    """Stage seed rows of *relation* for a run of *kind*: into its
+    delta, and into its target set when that is a work table.  ``rows``
+    are encoded rows; None seeds the relation's whole stored extension
+    in SQL (no decode round-trip).  Returns the number of rows seeded;
+    the caller supplies the transaction."""
+    conn = store.connection
+    tables = [kind.delta + relation]
+    if kind.target:
+        tables.insert(0, kind.target + relation)
+    if rows is None:
+        for table in tables:
+            seeded = conn.execute(
+                f"INSERT INTO {_q(table)} SELECT * FROM {_q(relation)}"
+            ).rowcount
+        return max(seeded, 0)
+    if rows:
+        placeholders = ", ".join("?" for _ in rows[0])
+        for table in tables:
+            conn.executemany(
+                f"INSERT INTO {_q(table)} VALUES ({placeholders})", rows
+            )
+    return len(rows)
+
+
+def _span(tracer: "Tracer | NullTracer", name: str | None):
+    """*tracer*'s span *name*, or the no-op span where the instance
+    emits none."""
+    return tracer.span(name) if name else NULL_TRACER.span("")
+
+
+def run_fixpoint(
+    store: ExchangeStore,
+    fsql: FixpointSQL,
+    deltas: dict[str, int],
+    rules: Sequence[FixpointRule] | None = None,
+    sizes: dict[str, int] | None = None,
+    max_iterations: int | None = None,
+    tracer: "Tracer | NullTracer" = NULL_TRACER,
+) -> tuple[int, int, dict[str, int]]:
+    """Run semi-naive rounds of *fsql* to its fixpoint — the one SQL
+    round loop behind exchange, deletion liveness and the unindexed
+    graph queries.
+
+    The caller has emptied the work tables and seeded them
+    (:func:`seed_rows`); *deltas* counts the seed rows per relation.
+    ``rules`` restricts the run to a subset of the program (trust
+    leaves distrusted mappings out).  ``sizes`` holds the target
+    relations' row counts — only the exchange guards read it, and it is
+    kept current; by default the targets hold exactly the seeds.
+
+    Bookkeeping follows what fired: a rule takes its watermark and runs
+    its follow-ups only in rounds where one of its triggers ran, only
+    relations that received candidates are staged, and only non-empty
+    deltas are cleared; row counts come from the statements' own
+    ``rowcount``.  Each round is one transaction under the instance's
+    round span.
+
+    Returns ``(rounds, firings, rows added per target relation)``.
+    """
+    kind = fsql.kind
+    conn = store.connection
+    rules = fsql.rules if rules is None else rules
+    sizes = dict(deltas) if sizes is None else sizes
+    iteration = firings = 0
+    added: dict[str, int] = {}
+    while any(deltas.get(t.relation) for rule in rules for t in rule.triggers):
+        iteration += 1
+        if max_iterations is not None and iteration > max_iterations:
+            raise EvaluationError(
+                f"{kind.label} did not converge within {max_iterations} "
+                "iterations"
+            )
+        with tracer.span(kind.round_span) as round_span, conn:
+            fresh: list[tuple[FixpointRule, int]] = []
+            round_firings = 0
+            for rule in rules:
+                triggers = [
+                    t
+                    for t in rule.triggers
+                    if deltas.get(t.relation)
+                    and not any(
+                        0 < deltas.get(r, 0) == sizes.get(r, 0)
+                        for r in t.guarded
+                    )
+                ]
+                if not triggers:
+                    continue
+                watermark = store.max_rowid(rule.fired)
+                fired = 0
+                for trigger in triggers:
+                    sql = trigger.statement.sql
+                    with _span(tracer, kind.statement_span) as sspan:
+                        cursor = conn.execute(sql, trigger.statement.params)
+                        if sspan.open:
+                            sspan.set("rule", rule.name).set(
+                                "phase", "firing"
+                            ).set("fingerprint", statement_fingerprint(sql))
+                    fired += max(cursor.rowcount, 0)
+                if fired:
+                    fresh.append((rule, watermark))
+                    round_firings += fired
+            with _span(tracer, kind.publish_span) as pspan:
+                filled: set[str] = set()
+                for rule, watermark in fresh:
+                    for relation, statement in rule.follow_ups:
+                        cursor = conn.execute(
+                            statement.sql, {**statement.params, "wm": watermark}
+                        )
+                        if relation is not None and cursor.rowcount > 0:
+                            filled.add(relation)
+                # Stages are independent per relation.  Running them all
+                # before any delta is cleared or row moved fixes the
+                # order in which a round allocates and frees pages,
+                # which the store file's size depends on.
+                staged = {
+                    relation: conn.execute(fsql.stages[relation]).rowcount
+                    for relation in fsql.relations
+                    if relation in filled
+                }
+                for relation in fsql.relations:
+                    if deltas.get(relation):
+                        conn.execute(f"DELETE FROM {_q(kind.delta + relation)}")
+                new_deltas: dict[str, int] = {}
+                for relation, count in staged.items():
+                    if count > 0:
+                        new = _q(kind.new + relation)
+                        conn.execute(
+                            f"INSERT INTO {_q(kind.target + relation)} "
+                            f"SELECT * FROM {new}"
+                        )
+                        conn.execute(
+                            f"INSERT INTO {_q(kind.delta + relation)} "
+                            f"SELECT * FROM {new}"
+                        )
+                        conn.execute(f"DELETE FROM {new}")
+                        new_deltas[relation] = count
+                        sizes[relation] = sizes.get(relation, 0) + count
+                        added[relation] = added.get(relation, 0) + count
+                    conn.execute(f"DELETE FROM {_q(kind.cand + relation)}")
+                pspan.set("inserted", sum(new_deltas.values()))
+            round_span.set("round", iteration).set("firings", round_firings)
+        firings += round_firings
+        deltas = new_deltas
+    return iteration, firings, added
+
+
 class SQLiteExchangeEngine:
     """Runs compiled exchange programs set-at-a-time over a store."""
 
@@ -776,7 +829,7 @@ class SQLiteExchangeEngine:
         if resident:
             self.store.ensure_durable()
         self.store.ensure_schema(catalog, mappings, sql, program.fingerprint)
-        self.store.reset_run(catalog, sql)
+        self.store.reset_work_tables(catalog, sql)
         if resident and self.store.dirty_run:
             # A previous resident run aborted after committing some
             # rounds.  Those orphan rows are sound (each committed
@@ -840,7 +893,7 @@ class SQLiteExchangeEngine:
         self,
         program: CompiledExchangeProgram,
         catalog: Catalog,
-        sql: ProgramSQL,
+        sql: FixpointSQL,
         instance: Instance,
         graph: ProvenanceGraph,
         initial_delta: TMapping[str, set[Row]] | None,
@@ -848,7 +901,6 @@ class SQLiteExchangeEngine:
         resident: bool,
         stmt_trace: StatementTrace,
     ) -> EvaluationResult:
-        conn = self.store.connection
         tracer = self.tracer
         result = EvaluationResult(instance, graph, engine="sqlite")
         with tracer.span("exchange.mirror") as mspan:
@@ -872,104 +924,25 @@ class SQLiteExchangeEngine:
                 relation: instance.size(relation)
                 for relation in sql.relations
             }
-
-        delta_counts = self._seed_deltas(instance, sql, initial_delta, rel_counts)
-        stage_sql = {
-            relation: stage_new_sql(catalog, relation)
-            for relation in sql.relations
-        }
-        published = 0
-
-        iteration = 0
-        while self._any_runnable(sql, delta_counts):
-            iteration += 1
-            if max_iterations is not None and iteration > max_iterations:
-                raise EvaluationError(
-                    f"fixpoint did not converge within {max_iterations} "
-                    "iterations"
-                )
-            with tracer.span("exchange.round") as round_span, conn:
-                watermarks = {
-                    rule.rule_name: self.store.max_rowid(rule.firing_table)
-                    for rule in sql.rules
-                }
-                for rule in sql.rules:
-                    for plan in rule.plans:
-                        if not delta_counts.get(plan.seed_relation):
-                            continue
-                        if self._blocked(plan, delta_counts, rel_counts):
-                            continue
-                        with tracer.span("exchange.statement") as sspan:
-                            cursor = conn.execute(
-                                plan.statement.sql, dict(plan.statement.params)
-                            )
-                            if tracer.enabled:
-                                stmt_trace.add_rows(max(cursor.rowcount, 0))
-                                sspan.set("rule", rule.rule_name).set(
-                                    "phase", "firing"
-                                ).set(
-                                    "fingerprint",
-                                    statement_fingerprint(plan.statement.sql),
-                                )
-                with tracer.span("exchange.publish") as pspan:
-                    for rule in sql.rules:
-                        watermark = watermarks[rule.rule_name]
-                        fired = (
-                            self.store.max_rowid(rule.firing_table) - watermark
-                        )
-                        if fired <= 0:
-                            continue
-                        result.firings += fired
-                        runtime = {"wm": watermark}
-                        for statement in rule.head_inserts:
-                            conn.execute(
-                                statement.sql, {**statement.params, **runtime}
-                            )
-                        if rule.provenance_insert is not None:
-                            conn.execute(
-                                rule.provenance_insert.sql,
-                                {**rule.provenance_insert.params, **runtime},
-                            )
-                    new_counts: dict[str, int] = {}
-                    for relation in sql.relations:
-                        conn.execute(stage_sql[relation])
-                        fresh = self.store.count(new_table(relation))
-                        conn.execute(
-                            f"DELETE FROM {_q(delta_table(relation))}"
-                        )
-                        if fresh:
-                            conn.execute(
-                                f"INSERT INTO {_q(relation)} "
-                                f"SELECT * FROM {_q(new_table(relation))}"
-                            )
-                            conn.execute(
-                                f"INSERT INTO {_q(delta_table(relation))} "
-                                f"SELECT * FROM {_q(new_table(relation))}"
-                            )
-                            conn.execute(
-                                f"DELETE FROM {_q(new_table(relation))}"
-                            )
-                            new_counts[relation] = fresh
-                            rel_counts[relation] = (
-                                rel_counts.get(relation, 0) + fresh
-                            )
-                            self.store.note_rows_added(relation, fresh)
-                            published += fresh
-                        conn.execute(f"DELETE FROM {_q(cand_table(relation))}")
-                    pspan.set(
-                        "inserted", sum(new_counts.values())
-                    )
-                round_span.set("round", iteration)
-                delta_counts = new_counts
-        result.iterations = iteration
+        result.iterations, result.firings, added = run_fixpoint(
+            self.store,
+            sql,
+            self._seed_deltas(instance, sql, initial_delta),
+            sizes=rel_counts,
+            max_iterations=max_iterations,
+            tracer=tracer,
+        )
+        stmt_trace.add_rows(result.firings)
+        for relation, count in added.items():
+            self.store.note_rows_added(relation, count)
         if resident:
             # The store already holds every derived row; nothing is
             # materialized back into Python.
-            result.inserted = published
+            result.inserted = sum(added.values())
         else:
             with tracer.span("exchange.writeback") as wspan:
                 result.inserted = self._write_back(
-                    program, sql, instance, graph
+                    program, catalog, sql, instance, graph
                 )
                 wspan.set("inserted", result.inserted)
             # Write-back journaled the derived rows as appends, but the
@@ -990,7 +963,7 @@ class SQLiteExchangeEngine:
 
         Runs after deletion victims were removed from the ``R_l``
         tables (:meth:`ExchangeStore.delete_relation_row` /
-        :meth:`ExchangeStore.sync_instance`): an iterative SQL fixpoint
+        :meth:`ExchangeStore.sync_instance`): the liveness fixpoint
         re-runs the DERIVABILITY test over the firing history — every
         relation's *live* set grows semi-naively from the surviving
         EDB leaves through the rule bodies, so a tuple is killed
@@ -1006,114 +979,73 @@ class SQLiteExchangeEngine:
         ``pm_rows_collected`` / ``iterations`` filled in.  Nothing is
         materialized in Python — the working set stays out-of-core.
         """
-        if program.sql is None:
-            program.sql = lower_program(
-                program.compiled, catalog, mappings, self.store.codec
-            )
         if program.derivability is None:
             program.derivability = lower_derivability_program(
                 program.compiled, catalog, mappings, self.store.codec
             )
-        dsql = program.derivability
-        self.store.ensure_schema(
-            catalog, mappings, program.sql, program.fingerprint
-        )
-        self.store.ensure_derivability_schema(catalog, dsql)
-        self.store.reset_derivability(dsql)
-        try:
-            return self._propagate_over_live_tables(
-                dsql, catalog, instance, max_iterations
-            )
-        finally:
-            # Win or lose, the live sets — as large as the surviving
-            # instance — must not linger on disk.
-            self.store.reset_derivability(dsql)
-
-    def _propagate_over_live_tables(
-        self,
-        dsql: DerivabilitySQL,
-        catalog: Catalog,
-        instance: Instance,
-        max_iterations: int | None,
-    ) -> EvaluationResult:
-        conn = self.store.connection
+        fsql = program.derivability
+        store = self.store
+        conn = store.connection
         tracer = self.tracer
         result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
-        # Bring the store's EDB up to date with the Python side (victim
-        # marking already shrank both).  Pending unexchanged local rows
-        # ride along and do seed the live set — but their derived
-        # consequences are discarded by the stage's stored-row filter
-        # (an unexchanged row's heads are not in the relation tables),
-        # so, like the graph engine's unrecorded firings, they can
-        # neither resurrect a dying tuple nor leak into the P_m
-        # projections.
-        with tracer.span("exchange.mirror") as mspan:
-            result.rows_mirrored, result.relations_synced = (
-                self.store.sync_instance(instance, resident=True)
-            )
-            mspan.set("rows", result.rows_mirrored).set(
-                "relations", result.relations_synced
-            )
-
-        with tracer.span("deletion.fixpoint") as fspan:
-            delta_counts: dict[str, int] = {}
-            with conn:
-                for relation in dsql.edb_relations:
-                    conn.execute(
-                        f"INSERT INTO {_q(live_table(relation))} "
-                        f"SELECT * FROM {_q(relation)}"
-                    )
-                    conn.execute(
-                        f"INSERT INTO {_q(live_delta_table(relation))} "
-                        f"SELECT * FROM {_q(relation)}"
-                    )
-                    count = self.store.cached_count(relation)
-                    if count:
-                        delta_counts[relation] = count
-            # The loop itself is shared with the derivability/trusted
-            # graph queries (they seed differently but grow the same
-            # live sets).
-            result.iterations, result.pm_rows_scanned = run_liveness_fixpoint(
-                self.store, dsql, catalog, delta_counts, max_iterations,
-                tracer=tracer,
-            )
-            fspan.set("rounds", result.iterations).set(
-                "firings", result.pm_rows_scanned
-            )
-
-        # Kill phase, one transaction: unsupported rows die, dead P_m
-        # firing-history rows are garbage-collected alongside.
-        pm_collected = 0
-        removed_counts: dict[str, int] = {}
-        index = self.store.reach_index
-        prune = index.current
-        with tracer.span("deletion.kill") as kspan, conn:
-            if prune:
-                # Capture the dying derived rows (by node id) while
-                # they are still present; the index prunes exactly
-                # their incident fires after the sweeps.  Leaf victims
-                # were already cleaned per-delete.
-                index.begin_prune(dsql.derived_relations, catalog)
-            for relation in dsql.derived_relations:
-                cursor = conn.execute(kill_sql(catalog, relation))
-                removed = max(cursor.rowcount, 0)
-                if removed:
-                    removed_counts[relation] = removed
-            for _name, pm_table, live_pm, columns in dsql.pm_tables:
-                cursor = conn.execute(pm_gc_sql(pm_table, live_pm, columns))
-                pm_collected += max(cursor.rowcount, 0)
-            if prune:
-                index.finish_prune()
-            kspan.set(
-                "rows_deleted", sum(removed_counts.values())
-            ).set("pm_rows_collected", pm_collected)
+        with store.work_tables(catalog, mappings, fsql, program.fingerprint):
+            # Bring the store's EDB up to date with the Python side
+            # (victim marking already shrank both).  Pending unexchanged
+            # local rows ride along and do seed the live set — but their
+            # derived consequences are discarded by the stage's
+            # stored-row filter (an unexchanged row's heads are not in
+            # the relation tables), so, like the graph engine's
+            # unrecorded firings, they can neither resurrect a dying
+            # tuple nor leak into the P_m projections.
+            with tracer.span("exchange.mirror") as mspan:
+                result.rows_mirrored, result.relations_synced = (
+                    store.sync_instance(instance, resident=True)
+                )
+                mspan.set("rows", result.rows_mirrored).set(
+                    "relations", result.relations_synced
+                )
+            with tracer.span("deletion.fixpoint") as fspan:
+                with conn:
+                    seeds = {
+                        relation: seed_rows(store, LIVENESS, relation)
+                        for relation in fsql.edb_relations
+                    }
+                result.iterations, result.pm_rows_scanned, _ = run_fixpoint(
+                    store, fsql, seeds, max_iterations=max_iterations,
+                    tracer=tracer,
+                )
+                fspan.set("rounds", result.iterations).set(
+                    "firings", result.pm_rows_scanned
+                )
+            # Kill phase, one transaction: unsupported rows die, dead
+            # P_m firing-history rows are garbage-collected alongside.
+            pm_collected = 0
+            removed_counts: dict[str, int] = {}
+            index = store.reach_index
+            prune = index.current
+            with tracer.span("deletion.kill") as kspan, conn:
+                if prune:
+                    # Capture the dying derived rows (by node id) while
+                    # they are still present; the index prunes exactly
+                    # their incident fires after the sweeps.  Leaf
+                    # victims were already cleaned per-delete.
+                    index.begin_prune([r for r, _sql in fsql.kills], catalog)
+                for relation, kill in fsql.kills:
+                    removed = max(conn.execute(kill).rowcount, 0)
+                    if removed:
+                        removed_counts[relation] = removed
+                for _table, _columns, collect in fsql.projections:
+                    pm_collected += max(conn.execute(collect).rowcount, 0)
+                if prune:
+                    index.finish_prune()
+                kspan.set(
+                    "rows_deleted", sum(removed_counts.values())
+                ).set("pm_rows_collected", pm_collected)
         # The count cache moves only after the kill transaction commits
         # (a rollback must leave it describing the uncut tables).
-        rows_deleted = 0
         for relation, removed in removed_counts.items():
-            rows_deleted += removed
-            self.store.note_rows_removed(relation, removed)
-        result.rows_deleted = rows_deleted
+            store.note_rows_removed(relation, removed)
+        result.rows_deleted = sum(removed_counts.values())
         result.pm_rows_collected = pm_collected
         return result
 
@@ -1122,22 +1054,15 @@ class SQLiteExchangeEngine:
     def _seed_deltas(
         self,
         instance: Instance,
-        sql: ProgramSQL,
+        sql: FixpointSQL,
         initial_delta: TMapping[str, set[Row]] | None,
-        rel_counts: dict[str, int],
     ) -> dict[str, int]:
-        conn = self.store.connection
+        store = self.store
         counts: dict[str, int] = {}
-        with conn:
+        with store.connection:
             if initial_delta is None:
                 for relation in sql.relations:
-                    conn.execute(
-                        f"INSERT INTO {_q(delta_table(relation))} "
-                        f"SELECT * FROM {_q(relation)}"
-                    )
-                    # The delta was seeded from the mirror table, whose
-                    # size is already known — no COUNT(*) rescan.
-                    counts[relation] = rel_counts.get(relation, 0)
+                    counts[relation] = seed_rows(store, EXCHANGE, relation)
                 return counts
             for relation, rows in initial_delta.items():
                 rows = {tuple(row) for row in rows}
@@ -1152,44 +1077,20 @@ class SQLiteExchangeEngine:
                         f"{relation}: {missing[:3]}; insert them before "
                         "evaluating"
                     )
-                if relation not in sql.relations:
-                    continue
-                arity = len(next(iter(rows)))
-                placeholders = ", ".join("?" for _ in range(arity))
-                conn.executemany(
-                    f"INSERT INTO {_q(delta_table(relation))} "
-                    f"VALUES ({placeholders})",
-                    [self.store.codec.encode_row(row) for row in sorted(rows, key=repr)],
-                )
-                counts[relation] = len(rows)
+                if relation in sql.relations:
+                    counts[relation] = seed_rows(
+                        store,
+                        EXCHANGE,
+                        relation,
+                        [store.codec.encode_row(r) for r in sorted(rows, key=repr)],
+                    )
         return counts
-
-    @staticmethod
-    def _any_runnable(
-        sql: ProgramSQL, delta_counts: dict[str, int]
-    ) -> bool:
-        for rule in sql.rules:
-            for plan in rule.plans:
-                if delta_counts.get(plan.seed_relation):
-                    return True
-        return False
-
-    @staticmethod
-    def _blocked(
-        plan, delta_counts: dict[str, int], rel_counts: dict[str, int]
-    ) -> bool:
-        # Mirrors the memory engine: when every stored row of a guarded
-        # relation is in the delta, the guard rejects every candidate.
-        for relation in plan.guarded_relations:
-            count = delta_counts.get(relation)
-            if count and count == rel_counts.get(relation, 0):
-                return True
-        return False
 
     def _write_back(
         self,
         program: CompiledExchangeProgram,
-        sql: ProgramSQL,
+        catalog: Catalog,
+        sql: FixpointSQL,
         instance: Instance,
         graph: ProvenanceGraph,
     ) -> int:
@@ -1199,21 +1100,23 @@ class SQLiteExchangeEngine:
         codec = self.store.codec
         inserted = 0
         for rule, crule in zip(sql.rules, program.compiled):
+            slot_types = _slot_types(crule, catalog)
+            body = body_extractors(crule)
             select = ", ".join(
                 _q(slot_column(s)) for s in range(rule.num_slots)
             )
             cursor = conn.execute(
-                f"SELECT {select or 'rowid'} FROM {_q(rule.firing_table)} "
+                f"SELECT {select or 'rowid'} FROM {_q(rule.fired)} "
                 "ORDER BY rowid"
             )
             for raw in cursor:
                 slots = [
                     codec.decode(value, type_)
-                    for value, type_ in zip(raw, rule.slot_types)
+                    for value, type_ in zip(raw, slot_types)
                 ]
                 sources = tuple(
                     TupleNode(relation, ground_extractors(extractors, slots))
-                    for relation, extractors in rule.body_extractors
+                    for relation, extractors in body
                 )
                 targets = []
                 for relation, extractors in crule.head:
@@ -1222,6 +1125,6 @@ class SQLiteExchangeEngine:
                         inserted += 1
                     targets.append(TupleNode(relation, row))
                 graph.add_derivation(
-                    DerivationNode(rule.rule_name, sources, tuple(targets))
+                    DerivationNode(rule.name, sources, tuple(targets))
                 )
         return inserted

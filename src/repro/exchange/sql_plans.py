@@ -1,69 +1,61 @@
-"""SQL lowering of compiled join plans (set-oriented update exchange).
+"""SQL lowering of the semi-naive fixpoints that run inside the store.
 
 The paper's testbed runs update exchange *inside* an RDBMS: each
 mapping rule becomes a relational query over the peers' tables, and a
 semi-naive round executes whole delta batches as single set-oriented
-statements.  This module translates the per-delta-atom join plans of
-:mod:`repro.datalog.planner` into exactly that shape for SQLite:
+statements.  The store runs three recursive computations of that
+shape, and this module lowers all three into one record,
+:class:`FixpointSQL`, which the one round driver
+(:func:`repro.exchange.sql_executor.run_fixpoint`) executes:
 
-* every rule gets a **firing table** ``__fired_<rule>`` with one column
-  per variable slot — one row per distinct rule firing, the relational
-  mirror of a provenance derivation node;
-* every :class:`~repro.datalog.planner.RulePlan` lowers to one
-  ``INSERT INTO __fired_<rule> SELECT DISTINCT ... FROM __delta_<seed>
-  JOIN ...`` statement whose join conditions come from the plan's
-  key parts, whose WHERE clause carries constant/repeated-variable
-  checks, and whose *guard* steps (body atoms preceding the delta seed)
-  become ``NOT EXISTS`` probes against the delta tables — the SQL
-  rendering of the engine's once-per-firing rule;
-* rule heads lower to ``INSERT INTO __cand_<relation> SELECT ... FROM
-  __fired_<rule>`` statements over the fresh firings of a round, with
-  Skolem values (labeled nulls) constructed *inside SQL* by the
-  registered ``repro_skolem`` function so equal labeled nulls compare
-  equal in later joins;
-* each non-superfluous mapping additionally lowers to an ``INSERT``
-  maintaining its provenance relation ``P_m`` (Section 4.1) from the
-  same fresh firings.
+* **exchange** (:data:`EXCHANGE`, :func:`lower_program`) — every
+  :class:`~repro.datalog.planner.RulePlan` lowers to one ``INSERT INTO
+  __fired_<rule> SELECT DISTINCT ... FROM __delta_<seed> JOIN ...``
+  whose joins come from the plan's key parts, whose WHERE clause
+  carries constant/repeated-variable checks, and whose *guard* steps
+  (body atoms preceding the delta seed) become ``NOT EXISTS`` probes
+  against the delta tables — the SQL rendering of the engine's
+  once-per-firing rule.  The round's fresh firings then fill the
+  ``__cand_*`` tables of the rule heads, with Skolem values (labeled
+  nulls) built *inside SQL* by the registered ``repro_skolem``
+  function, and the provenance relation ``P_m`` of each
+  non-superfluous mapping (Section 4.1);
+* **liveness** (:data:`LIVENESS`, :func:`lower_derivability_program`)
+  — the DERIVABILITY test of deletion propagation (Q5) and of the
+  unindexed ``derivability``/``trusted`` queries: ``__live_*`` sets
+  grow from the surviving EDB leaves through the same rule bodies
+  joined over the live sets (the least fixpoint, so cyclically
+  self-supporting tuples correctly die).  Because the store holds an
+  exchange fixpoint, re-joining *live* rows enumerates exactly the
+  historical firings whose antecedents all survive.  After convergence
+  one ``DELETE`` per derived relation kills the unsupported rows and
+  one per ``P_m`` collects the firing-history rows no live firing
+  projects onto;
+* **lineage** (:data:`LINEAGE`, :func:`lower_lineage_program`) — the
+  unindexed ``lineage`` query (Q6) walks the firing history
+  *backwards*: :class:`HeadProbe` restricts each rule's firing
+  enumeration to firings producing a row already known to be an
+  ancestor (``__adelta_*``), and the fresh firings' *body* rows become
+  the next ancestors.
 
-All value comparisons use SQLite's null-safe ``IS`` operator so SQL
-semantics match the Python engine's ``==`` on rows that may contain
+A :class:`Fixpoint` names an instance's work tables and says what its
+round-end stage keeps; a :class:`FixpointRule` is a firing table, the
+triggers that fill it and the follow-up statements that read its fresh
+rows.  All value comparisons use SQLite's null-safe ``IS`` operator so
+SQL semantics match the Python engine's ``==`` on rows that may contain
 ``None``.  Statements use named parameters: compile-time constants bind
 ``:p<N>``; the per-round firing-table watermark binds ``:wm``.
-
-**Deletion propagation** (the paper's Q5) gets its own lowering: after
-local victims are removed from the store's ``R_l`` tables,
-:func:`lower_derivability_program` re-runs the DERIVABILITY test
-*relationally* — a semi-naive fixpoint over ``__live_*`` tables marks
-every tuple still derivable from the surviving EDB leaves (the least
-fixpoint, so cyclically self-supporting tuples correctly die), after
-which one ``DELETE`` per relation kills the unsupported rows and one
-per ``P_m`` garbage-collects the firing-history rows whose every
-supporting derivation died.  Because the store holds an exchange
-fixpoint, re-joining *live* rows through the rule bodies enumerates
-exactly the historical firings whose antecedents all survive — the
-relational mirror of annotating the provenance graph with the
-DERIVABILITY semiring.
-
-**Graph queries** (:mod:`repro.exchange.graph_queries`) reuse both
-shapes: ``derivability``/``trusted`` re-run the same liveness fixpoint
-with query-specific seeds and rule sets, while ``lineage`` walks the
-firing history *backwards* — :class:`HeadProbe` restricts each plan's
-firing enumeration to firings producing a row already known to be an
-ancestor (``__adelta_*``), and ``dedup`` keeps the per-rule
-``__qfired_*`` log exact across rounds.  This module only provides the
-lowerings; the walk itself lives with the other query machinery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Mapping, Sequence
 
 from repro.cdss.mapping import SchemaMapping, provenance_relation_name
 from repro.datalog.planner import (
     CompiledRule,
     K_CONST,
-    K_SKOLEM,
     K_SLOT,
     RulePlan,
     _assign_slots,
@@ -74,94 +66,69 @@ from repro.relational.instance import Catalog
 from repro.relational.schema import is_local_name
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
 
-#: table-name prefixes of the executor's working tables.
-DELTA_PREFIX = "__delta_"
-NEW_PREFIX = "__new_"
-CAND_PREFIX = "__cand_"
-FIRED_PREFIX = "__fired_"
-#: table-name prefixes of the derivability (deletion-propagation)
-#: working tables: the set of live (still-derivable) rows per relation,
-#: its semi-naive delta/candidate/new stages, the live firings per
-#: rule, and the surviving P_m projection per mapping.
-LIVE_PREFIX = "__live_"
-LIVE_DELTA_PREFIX = "__ldelta_"
-LIVE_CAND_PREFIX = "__lcand_"
-LIVE_NEW_PREFIX = "__lnew_"
-LIVE_FIRED_PREFIX = "__lfired_"
-LIVE_PM_PREFIX = "__lpm_"
-#: table-name prefixes of the lineage (graph-query) working tables:
-#: the per-relation ancestor closure being grown by the backward walk,
-#: its delta/candidate/new stages, and the per-rule table of firings
-#: the walk has visited (the scanned slice of the firing history).
-ANC_PREFIX = "__anc_"
-ANC_DELTA_PREFIX = "__adelta_"
-ANC_CAND_PREFIX = "__acand_"
-ANC_NEW_PREFIX = "__anew_"
-QUERY_FIRED_PREFIX = "__qfired_"
-
 #: pseudo attribute type for Skolem-argument decoding: "decode by tag
 #: only" (ints/floats/strings pass through, labeled nulls re-intern).
 ANY_TYPE = "any"
 
-
-def delta_table(relation: str) -> str:
-    return DELTA_PREFIX + relation
-
-
-def new_table(relation: str) -> str:
-    return NEW_PREFIX + relation
+#: table-name prefix of the surviving ``P_m`` projections that deletion
+#: propagation garbage-collects against.
+LIVE_PM_PREFIX = "__lpm_"
 
 
-def cand_table(relation: str) -> str:
-    return CAND_PREFIX + relation
+@dataclass(frozen=True)
+class Fixpoint:
+    """One instance of the semi-naive SQL round.
+
+    Work tables are named ``prefix + relation`` (``prefix + rule`` for
+    firing logs): ``target`` is the set being grown (empty prefix: the
+    stored relation itself), ``delta`` last round's additions,
+    ``cand``/``new`` a round's candidates before and after the
+    round-end stage.
+    """
+
+    target: str
+    delta: str
+    cand: str
+    new: str
+    fired: str
+    #: the stage keeps candidates absent from the target; with
+    #: ``stored_only`` they must also be stored rows (a derivation of a
+    #: row that was never exchanged corresponds to no recorded firing).
+    stored_only: bool
+    #: prefixes of the work tables indexed on all their columns.
+    indexed: tuple[str, ...]
+    #: what a non-converging run's EvaluationError calls it.
+    label: str
+    #: spans: one per round; exchange also wraps every trigger
+    #: statement and every round's publication.
+    round_span: str
+    statement_span: str | None = None
+    publish_span: str | None = None
 
 
-def fired_table(rule_name: str) -> str:
-    return FIRED_PREFIX + rule_name
-
-
-def live_table(relation: str) -> str:
-    return LIVE_PREFIX + relation
-
-
-def live_delta_table(relation: str) -> str:
-    return LIVE_DELTA_PREFIX + relation
-
-
-def live_cand_table(relation: str) -> str:
-    return LIVE_CAND_PREFIX + relation
-
-
-def live_new_table(relation: str) -> str:
-    return LIVE_NEW_PREFIX + relation
-
-
-def live_fired_table(rule_name: str) -> str:
-    return LIVE_FIRED_PREFIX + rule_name
-
-
-def live_pm_table(mapping_name: str) -> str:
-    return LIVE_PM_PREFIX + mapping_name
-
-
-def anc_table(relation: str) -> str:
-    return ANC_PREFIX + relation
-
-
-def anc_delta_table(relation: str) -> str:
-    return ANC_DELTA_PREFIX + relation
-
-
-def anc_cand_table(relation: str) -> str:
-    return ANC_CAND_PREFIX + relation
-
-
-def anc_new_table(relation: str) -> str:
-    return ANC_NEW_PREFIX + relation
-
-
-def query_fired_table(rule_name: str) -> str:
-    return QUERY_FIRED_PREFIX + rule_name
+EXCHANGE = Fixpoint(
+    "", "__delta_", "__cand_", "__new_", "__fired_",
+    stored_only=False,
+    indexed=("__delta_",),
+    label="fixpoint",
+    round_span="exchange.round",
+    statement_span="exchange.statement",
+    publish_span="exchange.publish",
+)
+LIVENESS = Fixpoint(
+    "__live_", "__ldelta_", "__lcand_", "__lnew_", "__lfired_",
+    stored_only=True,
+    indexed=("__live_", LIVE_PM_PREFIX),
+    label="derivability fixpoint",
+    round_span="fixpoint.round",
+)
+LINEAGE = Fixpoint(
+    "__anc_", "__adelta_", "__acand_", "__anew_", "__qfired_",
+    stored_only=False,
+    indexed=("__anc_", "__qfired_"),
+    label="lineage walk",
+    round_span="walk.round",
+)
 
 
 def slot_column(slot: int) -> str:
@@ -184,47 +151,94 @@ class Statement:
 
 
 @dataclass(frozen=True)
-class PlanSQL:
-    """Lowering of one RulePlan: fills the rule's firing table."""
+class Trigger:
+    """A statement filling its rule's firing table, run in a round
+    when *relation*'s delta is non-empty."""
 
-    seed_relation: str
+    relation: str
     statement: Statement
-    #: relations of guarded join steps — when every stored row of one
-    #: of them is in the current delta the plan cannot fire (the guard
-    #: rejects everything) and the executor skips it wholesale, exactly
-    #: like the in-memory engine's ``blocked()`` check.
-    guarded_relations: tuple[str, ...] = ()
+    #: exchange guards: when every stored row of one of these relations
+    #: is in the current delta, the guard rejects every candidate and
+    #: the round skips the statement — the memory engine's
+    #: ``blocked()`` check.
+    guarded: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
-class RuleSQL:
-    """Everything the executor needs to run one rule set-at-a-time."""
+class FixpointRule:
+    """One rule of a fixpoint: its firing table, the triggers that
+    fill it, and the follow-ups over a round's fresh firings."""
 
-    rule_name: str
+    name: str
     num_slots: int
-    #: declared attribute type per slot (first body occurrence), used
-    #: to decode firing rows and Skolem arguments.
-    slot_types: tuple[str, ...]
-    firing_table: str
-    plans: tuple[PlanSQL, ...]
-    #: one statement per head atom: fresh firings -> __cand_<relation>.
-    head_inserts: tuple[Statement, ...]
-    #: fresh firings -> P_m rows (None for non-mappings / superfluous).
-    provenance_insert: Statement | None
-    #: per body atom: (relation, extractors) for rebuilding source
-    #: tuples from a decoded slot row (graph write-back).
-    body_extractors: tuple[tuple[str, tuple[tuple[int, object], ...]], ...]
+    fired: str
+    triggers: tuple[Trigger, ...]
+    #: (relation whose candidate table it fills — None for a history
+    #: table such as ``P_m``, statement with runtime ``:wm``).
+    follow_ups: tuple[tuple[str | None, Statement], ...]
 
 
 @dataclass(frozen=True)
-class ProgramSQL:
-    """SQL lowering of a whole compiled exchange program."""
+class FixpointSQL:
+    """SQL lowering of one fixpoint instance over a whole program."""
 
-    rules: tuple[RuleSQL, ...]
-    #: every relation the executor must mirror (instance + deltas).
+    kind: Fixpoint
+    rules: tuple[FixpointRule, ...]
+    #: every relation with work tables, in program order.
     relations: tuple[str, ...]
-    #: (relation, positions) indexes worth creating on the mirror.
-    index_requirements: tuple[tuple[str, tuple[int, ...]], ...]
+    #: the relations no rule derives into (local contributions): the
+    #: liveness seeds and the lineage answer.
+    edb_relations: tuple[str, ...]
+    #: relation -> round-end stage (candidates -> new rows), for each
+    #: relation some follow-up fills candidates into.
+    stages: Mapping[str, str]
+    #: exchange: (relation, positions) indexes its joins want.
+    indexes: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    #: liveness: (derived relation, delete its rows outside the live set).
+    kills: tuple[tuple[str, str], ...] = ()
+    #: liveness, per materialized ``P_m``: (the table a follow-up fills
+    #: with the live firings' ``P_m`` projection, its columns, the
+    #: garbage collection of ``P_m`` rows outside it).
+    projections: tuple[tuple[str, tuple[str, ...], str], ...] = ()
+
+    def work_tables(
+        self, catalog: Catalog
+    ) -> list[tuple[str, tuple[str, ...], bool]]:
+        """(name, columns, a run may fill it) of every work table."""
+        kind = self.kind
+        tables = []
+        for relation in self.relations:
+            columns = catalog[relation].attribute_names
+            staged = relation in self.stages
+            if kind.target:
+                tables.append((kind.target + relation, columns, True))
+            tables += [
+                (kind.delta + relation, columns, True),
+                (kind.cand + relation, columns, staged),
+                (kind.new + relation, columns, staged),
+            ]
+        for rule in self.rules:
+            slots = tuple(slot_column(s) for s in range(rule.num_slots))
+            tables.append((rule.fired, slots, True))
+        for table, columns, _collect in self.projections:
+            tables.append((table, columns, True))
+        return tables
+
+    def statements(self) -> Iterator[tuple[str, Statement]]:
+        """(subject, statement) of every statement a run may issue
+        beyond seeding and moving rows — what the lowering lint
+        prepares."""
+        for rule in self.rules:
+            for trigger in rule.triggers:
+                yield rule.name, trigger.statement
+            for _relation, statement in rule.follow_ups:
+                yield rule.name, statement
+        for subject, sql in [
+            *self.stages.items(),
+            *self.kills,
+            *((table, collect) for table, _columns, collect in self.projections),
+        ]:
+            yield subject, Statement(sql, {})
 
 
 class _ParamAllocator:
@@ -244,10 +258,6 @@ def _columns(catalog: Catalog, relation: str) -> tuple[str, ...]:
     return catalog[relation].attribute_names
 
 
-def _column_types(catalog: Catalog, relation: str) -> tuple[str, ...]:
-    return tuple(a.type for a in catalog[relation].attributes)
-
-
 def _slot_types(crule: CompiledRule, catalog: Catalog) -> tuple[str, ...]:
     """Declared type per slot, from each variable's first occurrence in
     body order (plan-independent, hence shared by all of a rule's
@@ -255,7 +265,7 @@ def _slot_types(crule: CompiledRule, catalog: Catalog) -> tuple[str, ...]:
     slot_of = _assign_slots(crule.rule)
     types: dict[int, str] = {}
     for atom in crule.rule.body:
-        col_types = _column_types(catalog, atom.relation)
+        col_types = [a.type for a in catalog[atom.relation].attributes]
         for pos, term in enumerate(atom.terms):
             for var in _term_variables(term):
                 slot = slot_of[var]
@@ -272,6 +282,18 @@ def _term_variables(term):
     elif isinstance(term, SkolemTerm):
         for arg in term.args:
             yield from _term_variables(arg)
+
+
+def body_extractors(
+    crule: CompiledRule,
+) -> tuple[tuple[str, tuple[tuple[int, object], ...]], ...]:
+    """Per body atom: (relation, extractors rebuilding its row from a
+    slot row)."""
+    slot_of = _assign_slots(crule.rule)
+    return tuple(
+        (atom.relation, tuple(_compile_term(t, slot_of) for t in atom.terms))
+        for atom in crule.rule.body
+    )
 
 
 @dataclass(frozen=True)
@@ -297,28 +319,28 @@ def _plan_firing_sql(
     crule: CompiledRule,
     plan: RulePlan,
     catalog: Catalog,
-    alloc: _ParamAllocator,
-    seed_from: str,
-    join_of,
-    guards: bool,
+    codec: ValueCodec,
     target: str,
+    seed_prefix: str = "",
+    join_prefix: str = "",
+    guard_prefix: str | None = None,
     probe: HeadProbe | None = None,
     dedup: bool = False,
-) -> str:
+) -> Statement:
     """The ``INSERT ... SELECT DISTINCT`` enumerating one plan's firings.
 
-    ``seed_from`` names the table the seed atom ranges over, ``join_of``
-    maps each join step's relation to the table actually joined (the
-    frozen mirror for exchange, the ``__live_*`` tables for the
-    derivability fixpoint), and ``guards`` controls whether guard steps
-    emit their ``NOT EXISTS`` once-per-firing probes (liveness is a set
-    computation, so the derivability lowering skips them).  ``probe``
-    adds a join against a wanted-head table (the lineage walk's
-    backward restriction), and ``dedup`` skips firings already recorded
-    in *target* — required when the same statement runs once per round
-    of an iterative walk and firing rows drive watermark-delimited
-    downstream inserts.
+    The seed atom ranges over ``seed_prefix + relation`` and every join
+    step over ``join_prefix + relation`` (the frozen relations for
+    exchange, the ``__live_*`` sets for liveness).  ``guard_prefix``
+    names the delta tables the guard steps' ``NOT EXISTS``
+    once-per-firing probes read (None skips them: liveness and lineage
+    are set computations).  ``probe`` adds a join against a wanted-head
+    table (the lineage walk's backward restriction), and ``dedup``
+    skips firings already recorded in *target* — required when the same
+    statement runs once per round of an iterative walk and firing rows
+    drive watermark-delimited follow-ups.
     """
+    alloc = _ParamAllocator(codec)
     seed = plan.seed
     seed_cols = _columns(catalog, seed.relation)
     slot_src: dict[int, str] = {}
@@ -352,16 +374,16 @@ def _plan_firing_sql(
         for pos, slot in step.checks:
             on_parts.append(f'{alias}.{_q(cols[pos])} IS {slot_src[slot]}')
         joins.append(
-            f'JOIN {_q(join_of(step.relation))} AS {alias} '
+            f'JOIN {_q(join_prefix + step.relation)} AS {alias} '
             f"ON {' AND '.join(on_parts) if on_parts else '1'}"
         )
-        if guards and step.guard:
+        if guard_prefix is not None and step.guard:
             guard_alias = f"g{index}"
             guard_conds = " AND ".join(
                 f'{guard_alias}.{_q(col)} IS {alias}.{_q(col)}' for col in cols
             )
             conditions.append(
-                f"NOT EXISTS (SELECT 1 FROM {_q(delta_table(step.relation))} "
+                f"NOT EXISTS (SELECT 1 FROM {_q(guard_prefix + step.relation)} "
                 f"AS {guard_alias} WHERE {guard_conds})"
             )
 
@@ -398,40 +420,19 @@ def _plan_firing_sql(
         _q(slot_column(s)) for s in range(crule.num_slots)
     )
     where = f"\nWHERE {' AND '.join(conditions)}" if conditions else ""
-    return (
+    sql = (
         f"INSERT INTO {_q(target)} ({target_cols})\n"
         f"SELECT DISTINCT {select_list}\n"
-        f"FROM {_q(seed_from)} AS {seed_alias}\n"
+        f"FROM {_q(seed_prefix + seed.relation)} AS {seed_alias}\n"
         + "\n".join(joins)
         + where
     )
-
-
-def _lower_plan(
-    crule: CompiledRule,
-    plan: RulePlan,
-    catalog: Catalog,
-    codec: ValueCodec,
-) -> PlanSQL:
-    alloc = _ParamAllocator(codec)
-    sql = _plan_firing_sql(
-        crule,
-        plan,
-        catalog,
-        alloc,
-        seed_from=delta_table(plan.seed.relation),
-        join_of=lambda relation: relation,
-        guards=True,
-        target=fired_table(crule.rule.name),
-    )
-    return PlanSQL(
-        plan.seed.relation, Statement(sql, alloc.params), plan.guarded_relations
-    )
+    return Statement(sql, alloc.params)
 
 
 def _fired_slot_ref(slot: int) -> str:
-    """Default slot reference: the firing-table alias of the head and
-    provenance inserts (``f`` ranges over ``__fired_<rule>``)."""
+    """Default slot reference: the firing-table alias of the
+    follow-ups (``f`` ranges over the rule's firing table)."""
     return f'f.{_q(slot_column(slot))}'
 
 
@@ -480,40 +481,36 @@ def _extractor_sql(
     return out
 
 
-def _lower_head_insert(
-    crule: CompiledRule,
-    relation: str,
+def _project_firings(
     extractors: Sequence[tuple[int, object]],
     slot_types: Sequence[str],
     codec: ValueCodec,
-    target: str | None = None,
-    fired: str | None = None,
+    target: str,
+    fired: str,
 ) -> Statement:
-    """Fresh firings -> candidate rows.  ``target``/``fired`` override
-    the table names so the derivability fixpoint reuses the lowering
-    over its ``__lcand_*``/``__lfired_*`` tables."""
+    """Fresh firings -> one row per firing and atom in *target*."""
     alloc = _ParamAllocator(codec)
     exprs = _extractor_sql(extractors, alloc, slot_types)
     sql = (
-        f"INSERT INTO {_q(target or cand_table(relation))}\n"
+        f"INSERT INTO {_q(target)}\n"
         f"SELECT DISTINCT {', '.join(exprs)}\n"
-        f"FROM {_q(fired or fired_table(crule.rule.name))} AS f\n"
+        f"FROM {_q(fired)} AS f\n"
         f"WHERE f.rowid > :wm"
     )
     return Statement(sql, alloc.params, runtime=("wm",))
 
 
-def _lower_provenance_insert(
+def _project_provenance(
     crule: CompiledRule,
-    mapping: SchemaMapping,
-    codec: ValueCodec,
-    target: str | None = None,
-    fired: str | None = None,
+    mapping: SchemaMapping | None,
+    target: str,
+    fired: str,
 ) -> Statement | None:
-    if mapping.is_superfluous or not mapping.provenance_columns:
+    """Fresh firings -> *target* rows shaped like the mapping's ``P_m``
+    (None for non-mappings and superfluous mappings)."""
+    if mapping is None or mapping.is_superfluous or not mapping.provenance_columns:
         return None
     slot_of = _assign_slots(crule.rule)
-    table = target or provenance_relation_name(mapping.name)
     cols = []
     exprs = []
     for column in mapping.provenance_columns:
@@ -529,176 +526,31 @@ def _lower_provenance_insert(
         f"p.{col} IS {expr}" for col, expr in zip(cols, exprs)
     )
     sql = (
-        f"INSERT INTO {_q(table)} ({', '.join(cols)})\n"
+        f"INSERT INTO {_q(target)} ({', '.join(cols)})\n"
         f"SELECT DISTINCT {', '.join(exprs)}\n"
-        f"FROM {_q(fired or fired_table(crule.rule.name))} AS f\n"
+        f"FROM {_q(fired)} AS f\n"
         f"WHERE f.rowid > :wm\n"
-        f"AND NOT EXISTS (SELECT 1 FROM {_q(table)} AS p WHERE {dedup})"
+        f"AND NOT EXISTS (SELECT 1 FROM {_q(target)} AS p WHERE {dedup})"
     )
     return Statement(sql, {}, runtime=("wm",))
 
 
-def stage_new_sql(catalog: Catalog, relation: str) -> str:
-    """Round-end dedup: distinct candidates not already stored."""
+def _stage_sql(kind: Fixpoint, catalog: Catalog, relation: str) -> str:
+    """Round-end stage: the distinct candidates not yet in the target
+    (and, for ``stored_only`` instances, stored)."""
     cols = _columns(catalog, relation)
-    match = " AND ".join(f'r.{_q(c)} IS c.{_q(c)}' for c in cols)
+
+    def row_in(table: str, alias: str) -> str:
+        match = " AND ".join(f'{alias}.{_q(c)} IS c.{_q(c)}' for c in cols)
+        return f"EXISTS (SELECT 1 FROM {_q(table)} AS {alias} WHERE {match})"
+
+    conditions = [f"NOT {row_in(kind.target + relation, 't')}"]
+    if kind.stored_only:
+        conditions.insert(0, row_in(relation, "r"))
     return (
-        f"INSERT INTO {_q(new_table(relation))}\n"
-        f"SELECT DISTINCT * FROM {_q(cand_table(relation))} AS c\n"
-        f"WHERE NOT EXISTS (SELECT 1 FROM {_q(relation)} AS r WHERE {match})"
-    )
-
-
-def lower_rule(
-    crule: CompiledRule,
-    catalog: Catalog,
-    mappings: Mapping[str, SchemaMapping],
-    codec: ValueCodec,
-) -> RuleSQL:
-    if not crule.plans:
-        raise ExchangeError(
-            f"rule {crule.rule.name} cannot run on the sqlite engine "
-            "(its body contains terms the planner does not compile); "
-            'use exchange(engine="memory")'
-        )
-    slot_types = _slot_types(crule, catalog)
-    plans = tuple(
-        _lower_plan(crule, plan, catalog, codec) for plan in crule.plans
-    )
-    head_inserts = tuple(
-        _lower_head_insert(crule, relation, extractors, slot_types, codec)
-        for relation, extractors in crule.head
-    )
-    mapping = mappings.get(crule.rule.name)
-    prov = (
-        _lower_provenance_insert(crule, mapping, codec) if mapping else None
-    )
-    slot_of = _assign_slots(crule.rule)
-    body_extractors = tuple(
-        (
-            atom.relation,
-            tuple(_compile_term(term, slot_of) for term in atom.terms),
-        )
-        for atom in crule.rule.body
-    )
-    return RuleSQL(
-        crule.rule.name,
-        crule.num_slots,
-        slot_types,
-        fired_table(crule.rule.name),
-        plans,
-        head_inserts,
-        prov,
-        body_extractors,
-    )
-
-
-def lower_program(
-    compiled: Sequence[CompiledRule],
-    catalog: Catalog,
-    mappings: Mapping[str, SchemaMapping],
-    codec: ValueCodec,
-) -> ProgramSQL:
-    """Lower every compiled rule; raises :class:`ExchangeError` when a
-    rule's body is outside the planner's (and hence SQL's) fragment."""
-    rules = tuple(
-        lower_rule(crule, catalog, mappings, codec) for crule in compiled
-    )
-    relations: dict[str, None] = {}
-    for crule in compiled:
-        for rel in crule.body_relations:
-            relations.setdefault(rel, None)
-        for rel, _extractors in crule.head:
-            relations.setdefault(rel, None)
-    indexes: set[tuple[str, tuple[int, ...]]] = set()
-    for crule in compiled:
-        indexes |= crule.index_requirements()
-    return ProgramSQL(rules, tuple(relations), tuple(sorted(indexes)))
-
-
-# -- deletion propagation (derivability over P_m, Q5) -----------------------
-
-
-@dataclass(frozen=True)
-class DerivabilityPlanSQL:
-    """One plan of the liveness fixpoint: finds the firings whose last
-    body row just became live."""
-
-    seed_relation: str
-    statement: Statement
-
-
-@dataclass(frozen=True)
-class DerivabilityRuleSQL:
-    """One rule of the liveness fixpoint (no guards, no write-back)."""
-
-    rule_name: str
-    num_slots: int
-    firing_table: str
-    plans: tuple[DerivabilityPlanSQL, ...]
-    #: fresh live firings -> ``__lcand_<relation>`` per head atom.
-    head_inserts: tuple[Statement, ...]
-    #: fresh live firings -> surviving ``P_m`` projection (None for
-    #: non-mappings / superfluous mappings).
-    pm_insert: Statement | None
-
-
-@dataclass(frozen=True)
-class DerivabilitySQL:
-    """SQL lowering of the relational DERIVABILITY test.
-
-    A tuple is live iff it is an EDB (local-contribution) row that
-    survived the victim marking, or some firing over live rows produces
-    it *and* the tuple is still stored — the least fixpoint of the
-    DERIVABILITY semiring over the firing history, computed without
-    materializing anything in Python.
-    """
-
-    rules: tuple[DerivabilityRuleSQL, ...]
-    #: every relation the fixpoint touches.
-    relations: tuple[str, ...]
-    #: relations seeded live from their full extension (EDB leaves —
-    #: the local-contribution tables; their firings are the paper's
-    #: "EDB-insertion firings", which keep their tuples alive).
-    edb_relations: tuple[str, ...]
-    #: head relations: only these can gain live rows per round, and
-    #: only these are swept for unsupported victims afterwards.
-    derived_relations: tuple[str, ...]
-    #: per materialized provenance relation:
-    #: (mapping name, P_m table, live-projection table, columns).
-    pm_tables: tuple[tuple[str, str, str, tuple[str, ...]], ...]
-
-
-def stage_live_sql(catalog: Catalog, relation: str) -> str:
-    """Round-end liveness stage: distinct candidates that are stored
-    (derivations must correspond to recorded firings — a row absent
-    from the relation was never exchanged and supports nothing) and not
-    yet marked live."""
-    cols = _columns(catalog, relation)
-    stored = " AND ".join(f'r.{_q(c)} IS c.{_q(c)}' for c in cols)
-    live = " AND ".join(f'l.{_q(c)} IS c.{_q(c)}' for c in cols)
-    return (
-        f"INSERT INTO {_q(live_new_table(relation))}\n"
-        f"SELECT DISTINCT * FROM {_q(live_cand_table(relation))} AS c\n"
-        f"WHERE EXISTS (SELECT 1 FROM {_q(relation)} AS r WHERE {stored})\n"
-        f"AND NOT EXISTS "
-        f"(SELECT 1 FROM {_q(live_table(relation))} AS l WHERE {live})"
-    )
-
-
-def stage_ancestor_sql(catalog: Catalog, relation: str) -> str:
-    """Round-end stage of the lineage walk: distinct ancestor
-    candidates not yet in the closure.  No stored-row filter is needed
-    — candidates are projections of firings whose body rows were
-    *joined from* the stored relations, so they are stored by
-    construction."""
-    cols = _columns(catalog, relation)
-    known = " AND ".join(f'a.{_q(c)} IS c.{_q(c)}' for c in cols)
-    return (
-        f"INSERT INTO {_q(anc_new_table(relation))}\n"
-        f"SELECT DISTINCT * FROM {_q(anc_cand_table(relation))} AS c\n"
-        f"WHERE NOT EXISTS "
-        f"(SELECT 1 FROM {_q(anc_table(relation))} AS a WHERE {known})"
+        f"INSERT INTO {_q(kind.new + relation)}\n"
+        f"SELECT DISTINCT * FROM {_q(kind.cand + relation)} AS c\n"
+        f"WHERE " + "\nAND ".join(conditions)
     )
 
 
@@ -710,7 +562,7 @@ def kill_sql(catalog: Catalog, relation: str) -> str:
     )
     return (
         f"DELETE FROM {_q(relation)} WHERE NOT EXISTS "
-        f"(SELECT 1 FROM {_q(live_table(relation))} AS l WHERE {match})"
+        f"(SELECT 1 FROM {_q(LIVENESS.target + relation)} AS l WHERE {match})"
     )
 
 
@@ -725,77 +577,24 @@ def pm_gc_sql(pm_table: str, live_pm: str, columns: Sequence[str]) -> str:
     )
 
 
-def _lower_derivability_rule(
-    crule: CompiledRule,
-    catalog: Catalog,
-    mappings: Mapping[str, SchemaMapping],
-    codec: ValueCodec,
-) -> DerivabilityRuleSQL:
+def _require_plans(crule: CompiledRule) -> None:
     if not crule.plans:
         raise ExchangeError(
             f"rule {crule.rule.name} cannot run on the sqlite engine "
             "(its body contains terms the planner does not compile); "
             'use exchange(engine="memory")'
         )
-    name = crule.rule.name
-    fired = live_fired_table(name)
-    slot_types = _slot_types(crule, catalog)
-    plans = []
-    for plan in crule.plans:
-        alloc = _ParamAllocator(codec)
-        sql = _plan_firing_sql(
-            crule,
-            plan,
-            catalog,
-            alloc,
-            seed_from=live_delta_table(plan.seed.relation),
-            join_of=live_table,
-            guards=False,
-            target=fired,
-        )
-        plans.append(
-            DerivabilityPlanSQL(
-                plan.seed.relation, Statement(sql, alloc.params)
-            )
-        )
-    head_inserts = tuple(
-        _lower_head_insert(
-            crule,
-            relation,
-            extractors,
-            slot_types,
-            codec,
-            target=live_cand_table(relation),
-            fired=fired,
-        )
-        for relation, extractors in crule.head
-    )
-    mapping = mappings.get(name)
-    pm_insert = (
-        _lower_provenance_insert(
-            crule, mapping, codec, target=live_pm_table(name), fired=fired
-        )
-        if mapping
-        else None
-    )
-    return DerivabilityRuleSQL(
-        name, crule.num_slots, fired, tuple(plans), head_inserts, pm_insert
-    )
 
 
-def lower_derivability_program(
+def _fixpoint(
+    kind: Fixpoint,
     compiled: Sequence[CompiledRule],
     catalog: Catalog,
-    mappings: Mapping[str, SchemaMapping],
-    codec: ValueCodec,
-) -> DerivabilitySQL:
-    """Lower the whole program's DERIVABILITY test.
-
-    The leaf model requires every local-contribution relation to be an
-    EDB leaf: a mapping deriving *into* an ``R_l`` relation would make
-    its rows part-leaf, part-derived, which the relational test (unlike
-    the per-node graph test) cannot express — rejected loudly.
-    """
+    rules: Sequence[FixpointRule],
+    **extra,
+) -> FixpointSQL:
+    """Assemble the record: relations in program order, the EDB, and a
+    stage for every relation some follow-up fills candidates into."""
     relations: dict[str, None] = {}
     heads: set[str] = set()
     for crule in compiled:
@@ -804,39 +603,177 @@ def lower_derivability_program(
         for rel, _extractors in crule.head:
             relations.setdefault(rel, None)
             heads.add(rel)
+    filled = {r for rule in rules for r, _stmt in rule.follow_ups}
+    return FixpointSQL(
+        kind,
+        tuple(rules),
+        tuple(relations),
+        tuple(r for r in relations if r not in heads),
+        {r: _stage_sql(kind, catalog, r) for r in relations if r in filled},
+        **extra,
+    )
+
+
+def lower_program(
+    compiled: Sequence[CompiledRule],
+    catalog: Catalog,
+    mappings: Mapping[str, SchemaMapping],
+    codec: ValueCodec,
+) -> FixpointSQL:
+    """Lower the exchange fixpoint; raises :class:`ExchangeError` when
+    a rule's body is outside the planner's (and hence SQL's) fragment."""
+    kind = EXCHANGE
+    rules = []
+    for crule in compiled:
+        _require_plans(crule)
+        name = crule.rule.name
+        fired = kind.fired + name
+        slot_types = _slot_types(crule, catalog)
+        triggers = tuple(
+            Trigger(
+                plan.seed.relation,
+                _plan_firing_sql(
+                    crule, plan, catalog, codec, fired,
+                    seed_prefix=kind.delta, guard_prefix=kind.delta,
+                ),
+                plan.guarded_relations,
+            )
+            for plan in crule.plans
+        )
+        follow_ups: list[tuple[str | None, Statement]] = [
+            (rel, _project_firings(ext, slot_types, codec, kind.cand + rel, fired))
+            for rel, ext in crule.head
+        ]
+        provenance = _project_provenance(
+            crule, mappings.get(name), provenance_relation_name(name), fired
+        )
+        if provenance is not None:
+            follow_ups.append((None, provenance))
+        rules.append(
+            FixpointRule(name, crule.num_slots, fired, triggers, tuple(follow_ups))
+        )
+    indexes: set[tuple[str, tuple[int, ...]]] = set()
+    for crule in compiled:
+        indexes |= crule.index_requirements()
+    return _fixpoint(
+        kind, compiled, catalog, rules, indexes=tuple(sorted(indexes))
+    )
+
+
+def lower_derivability_program(
+    compiled: Sequence[CompiledRule],
+    catalog: Catalog,
+    mappings: Mapping[str, SchemaMapping],
+    codec: ValueCodec,
+) -> FixpointSQL:
+    """Lower the whole program's DERIVABILITY test.
+
+    A tuple is live iff it is an EDB (local-contribution) row that
+    survived the victim marking, or some firing over live rows produces
+    it *and* the tuple is still stored.  The leaf model requires every
+    local-contribution relation to be an EDB leaf: a mapping deriving
+    *into* an ``R_l`` relation would make its rows part-leaf,
+    part-derived, which the relational test (unlike the per-node graph
+    test) cannot express — rejected loudly.
+    """
+    kind = LIVENESS
+    rules = []
+    projections = []
+    for crule in compiled:
+        _require_plans(crule)
+        name = crule.rule.name
+        for rel, _extractors in crule.head:
             if is_local_name(rel):
                 raise ExchangeError(
-                    f"rule {crule.rule.name} derives into the "
+                    f"rule {name} derives into the "
                     f"local-contribution relation {rel}; the relational "
                     "derivability test treats local relations as EDB "
                     "leaves — rewrite the mapping to target the public "
                     "relation"
                 )
-    rules = tuple(
-        _lower_derivability_rule(crule, catalog, mappings, codec)
-        for crule in compiled
-    )
-    pm_tables = []
-    for name in {crule.rule.name for crule in compiled}:
-        mapping = mappings.get(name)
-        if (
-            mapping is None
-            or mapping.is_superfluous
-            or not mapping.provenance_columns
-        ):
-            continue
-        pm_tables.append(
-            (
-                name,
-                provenance_relation_name(name),
-                live_pm_table(name),
-                tuple(c.name for c in mapping.provenance_columns),
+        fired = kind.fired + name
+        slot_types = _slot_types(crule, catalog)
+        triggers = tuple(
+            Trigger(
+                plan.seed.relation,
+                _plan_firing_sql(
+                    crule, plan, catalog, codec, fired,
+                    seed_prefix=kind.delta, join_prefix=kind.target,
+                ),
             )
+            for plan in crule.plans
         )
-    return DerivabilitySQL(
-        rules,
-        tuple(relations),
-        tuple(r for r in relations if r not in heads),
-        tuple(r for r in relations if r in heads),
-        tuple(sorted(pm_tables)),
+        follow_ups: list[tuple[str | None, Statement]] = [
+            (rel, _project_firings(ext, slot_types, codec, kind.cand + rel, fired))
+            for rel, ext in crule.head
+        ]
+        live_pm = LIVE_PM_PREFIX + name
+        projection = _project_provenance(crule, mappings.get(name), live_pm, fired)
+        if projection is not None:
+            follow_ups.append((None, projection))
+            columns = tuple(c.name for c in mappings[name].provenance_columns)
+            collect = pm_gc_sql(provenance_relation_name(name), live_pm, columns)
+            projections.append((live_pm, columns, collect))
+        rules.append(
+            FixpointRule(name, crule.num_slots, fired, triggers, tuple(follow_ups))
+        )
+    fsql = _fixpoint(
+        kind, compiled, catalog, rules,
+        projections=tuple(sorted(projections, key=lambda p: p[0])),
     )
+    return replace(
+        fsql,
+        kills=tuple(
+            (rel, kill_sql(catalog, rel))
+            for rel in fsql.relations
+            if rel not in fsql.edb_relations
+        ),
+    )
+
+
+def lower_lineage_program(
+    compiled: Sequence[CompiledRule],
+    catalog: Catalog,
+    codec: ValueCodec,
+) -> FixpointSQL:
+    """Lower the whole program's backward lineage walk.
+
+    A rule's triggers run once per head atom, seeded from that head's
+    ancestor delta; its follow-ups insert the fresh firings' body rows
+    as ancestor candidates.  Shares the leaf model of the derivability
+    lowering (only reachable after that one succeeded at exchange
+    time): the answer is the closure's intersection with the EDB.
+    """
+    kind = LINEAGE
+    rules = []
+    for crule in compiled:
+        _require_plans(crule)
+        name = crule.rule.name
+        fired = kind.fired + name
+        slot_types = _slot_types(crule, catalog)
+        # Any one plan gives a valid join order for the body — the walk
+        # enumerates *all* firings matching the head probe, not firings
+        # seeded from a particular delta atom — so take the first.
+        plan = crule.plans[0]
+        triggers = tuple(
+            Trigger(
+                rel,
+                _plan_firing_sql(
+                    crule, plan, catalog, codec, fired,
+                    probe=HeadProbe(
+                        kind.delta + rel,
+                        _columns(catalog, rel),
+                        tuple(extractors),
+                        slot_types,
+                    ),
+                    dedup=True,
+                ),
+            )
+            for rel, extractors in crule.head
+        )
+        follow_ups = tuple(
+            (rel, _project_firings(ext, slot_types, codec, kind.cand + rel, fired))
+            for rel, ext in body_extractors(crule)
+        )
+        rules.append(FixpointRule(name, crule.num_slots, fired, triggers, follow_ups))
+    return _fixpoint(kind, compiled, catalog, rules)

@@ -6,6 +6,8 @@ running example (cyclic and acyclic), with labeled nulls, across
 incremental calls, and out-of-core (on-disk store).
 """
 
+import contextlib
+
 import pytest
 
 from repro.cdss import CDSS, Peer
@@ -1055,36 +1057,6 @@ class TestDeletionStats:
             ), schema.name
         assert len(store.relation_rows(resident.catalog["D"])) == 1
 
-    def test_aborted_propagate_clears_work_tables(self, tmp_path):
-        # An error mid-fixpoint must not leave the instance-sized
-        # __live_* work tables populated on disk (resident stores exist
-        # precisely for working sets that dwarf memory).
-        from repro.errors import EvaluationError
-        from repro.exchange.sql_plans import live_table
-
-        memory, resident = build_resident_deletion_pair(tmp_path)
-        for system in (memory, resident):
-            system.delete_local("A", (2, "sn1", 5))
-        store = resident.exchange_store
-        program, _ = resident.plan_cache.fetch(resident.program())
-        engine = SQLiteExchangeEngine(store)
-        with pytest.raises(EvaluationError):
-            engine.propagate_deletions(
-                program,
-                resident.catalog,
-                resident.mappings,
-                resident.instance,
-                max_iterations=0,
-            )
-        for relation in program.derivability.relations:
-            assert store.count(live_table(relation)) == 0, relation
-        # The store is undamaged: a retry converges to the memory twin.
-        assert resident.propagate_deletions() == memory.propagate_deletions()
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                memory.instance[schema.name]
-            ), schema.name
-
 
 def build_resident_deletion_pair(tmp_path):
     """Memory twin + resident twin of the running example, exchanged."""
@@ -1224,7 +1196,7 @@ class TestResidentGraphQueries:
         # paths keep their per-relation work-table contract.
         from repro.exchange.graph_queries import StoreGraphQueries
         from repro.exchange.reach_index import _PRUNE_TEMPS
-        from repro.exchange.sql_plans import anc_table, live_table
+        from repro.exchange.sql_plans import LINEAGE, LIVENESS
 
         memory, resident = build_resident_deletion_pair(tmp_path)
         resident.delete_local("A", (1, "sn1", 7))
@@ -1245,13 +1217,13 @@ class TestResidentGraphQueries:
         legacy.lineage(node)
         legacy.derivability()
         for relation in program.lineage.relations:
-            assert store.count(anc_table(relation)) == 0, relation
+            assert store.count(LINEAGE.target + relation) == 0, relation
         for relation in program.derivability.relations:
-            assert store.count(live_table(relation)) == 0, relation
+            assert store.count(LIVENESS.target + relation) == 0, relation
 
     def test_lowerings_are_cached_on_the_program(self, tmp_path):
         # Repeated queries over an unchanged program lower nothing new:
-        # the LineageSQL/DerivabilitySQL attach to the cache entry.
+        # the lineage and liveness lowerings attach to the cache entry.
         memory, resident = build_resident_deletion_pair(tmp_path)
         node = sorted(memory.graph.tuples_in("O"))[0]
         resident.lineage(node)
@@ -1296,3 +1268,169 @@ class TestResidentGraphQueries:
         policy = TrustPolicy()
         policy.trust_if("A", lambda values: values[2] < 6)
         assert resident.trusted(policy) == memory.trusted(policy)
+
+
+@contextlib.contextmanager
+def traced_statements(connection):
+    """Every SQL statement *connection* runs inside the block."""
+    statements: list[str] = []
+    connection.set_trace_callback(statements.append)
+    try:
+        yield statements
+    finally:
+        connection.set_trace_callback(None)
+
+
+class TestFixpointRounds:
+    """Exchange, deletion liveness and the unindexed graph queries run
+    on one semi-naive round driver over one work-table scheme: warm
+    calls issue no DDL, a round only touches the candidate tables of
+    relations it can fill, and an aborted run leaves nothing behind."""
+
+    NUM_PEERS = 5
+
+    def build(self, tmp_path):
+        from repro.exchange.graph_queries import StoreGraphQueries
+
+        resident = _mini_topology("branched", self.NUM_PEERS)
+        _seed_topology(resident, self.NUM_PEERS, TestResidentDeletion.ROWS)
+        resident.exchange(
+            engine="sqlite", storage=str(tmp_path / "rounds.db"), resident=True
+        )
+        program, _ = resident.plan_cache.fetch(resident.program())
+        oracle = StoreGraphQueries(
+            resident.exchange_store,
+            program,
+            resident.catalog,
+            resident.mappings,
+            use_index=False,
+        )
+        return resident, program, oracle
+
+    def test_warm_calls_issue_no_ddl(self, tmp_path):
+        from repro.cdss.trust import TrustPolicy
+        from repro.provenance.graph import TupleNode
+
+        resident, _program, oracle = self.build(tmp_path)
+        node = TupleNode("P0_R1", (0, 10))
+        policy = TrustPolicy()
+        policy.distrust_mapping("m1")
+        calls = {
+            "propagate": resident.propagate_deletions,
+            "lineage": lambda: oracle.lineage(node),
+            "derivability": oracle.derivability,
+            "trusted": lambda: oracle.trusted(policy),
+        }
+        connection = resident.exchange_store.connection
+        for name, call in calls.items():
+            call()
+            with traced_statements(connection) as statements:
+                call()
+            ddl = [s for s in statements if s.lstrip().upper().startswith("CREATE")]
+            assert ddl == [], name
+            assert statements, name
+
+    @pytest.mark.parametrize("computation", ["exchange", "propagate", "lineage"])
+    def test_rounds_touch_only_fillable_candidate_tables(
+        self, tmp_path, computation
+    ):
+        from repro.provenance.graph import TupleNode
+
+        resident, program, oracle = self.build(tmp_path)
+        node = TupleNode("P0_R1", (0, 10))
+        if computation == "exchange":
+            fsql = program.sql
+
+            def run():
+                _seed_topology(resident, self.NUM_PEERS, [(4, 7, 70)])
+                resident.exchange(engine="sqlite", resident=True)
+        elif computation == "propagate":
+            resident.propagate_deletions()
+            fsql = program.derivability
+
+            def run():
+                TestResidentDeletion().delete_victims(resident, self.NUM_PEERS)
+                assert resident.propagate_deletions() > 0
+        else:
+            oracle.lineage(node)
+            fsql = program.lineage
+
+            def run():
+                assert oracle.lineage(node)[1].iterations > 1
+
+        idle = [r for r in fsql.relations if r not in fsql.stages]
+        assert idle, "no relation without candidates: the check is vacuous"
+        with traced_statements(resident.exchange_store.connection) as statements:
+            run()
+        kind = fsql.kind
+        for relation in idle:
+            for table in (kind.new + relation, kind.cand + relation):
+                named = [s for s in statements if quote_identifier(table) in s]
+                assert named == [], table
+
+    @pytest.mark.parametrize(
+        "computation", ["propagate", "lineage", "derivability", "trusted"]
+    )
+    def test_aborted_run_clears_work_tables(self, tmp_path, computation):
+        # An error mid-fixpoint must not leave instance-sized work
+        # tables populated on disk (resident stores exist precisely for
+        # working sets that dwarf memory), nor a transaction open.
+        from repro.cdss.trust import TrustPolicy
+        from repro.errors import EvaluationError
+        from repro.exchange.graph_queries import StoreGraphQueries
+
+        memory, resident = build_resident_deletion_pair(tmp_path)
+        store = resident.exchange_store
+        program, _ = resident.plan_cache.fetch(resident.program())
+        oracle = StoreGraphQueries(
+            store, program, resident.catalog, resident.mappings, use_index=False
+        )
+        node = sorted(memory.graph.tuples_in("O"))[0]
+        policy = TrustPolicy()
+        policy.distrust_relation("C")
+        if computation == "propagate":
+            for system in (memory, resident):
+                system.delete_local("A", (2, "sn1", 5))
+        engine = SQLiteExchangeEngine(store)
+        # computation -> (resident run, memory twin, error message)
+        cases = {
+            "propagate": (
+                lambda limit: engine.propagate_deletions(
+                    program,
+                    resident.catalog,
+                    resident.mappings,
+                    resident.instance,
+                    max_iterations=limit,
+                ).rows_deleted,
+                memory.propagate_deletions,
+                "derivability fixpoint did not converge",
+            ),
+            "lineage": (
+                lambda limit: oracle.lineage(node, limit)[0],
+                lambda: memory.lineage(node),
+                "lineage walk did not converge",
+            ),
+            "derivability": (
+                lambda limit: oracle.derivability(limit)[0],
+                memory.derivability,
+                "derivability fixpoint did not converge",
+            ),
+            "trusted": (
+                lambda limit: oracle.trusted(policy, limit)[0],
+                lambda: memory.trusted(policy),
+                "derivability fixpoint did not converge",
+            ),
+        }
+        run, expected, message = cases[computation]
+        with pytest.raises(EvaluationError, match=message):
+            run(0)
+        fsql = program.lineage if computation == "lineage" else program.derivability
+        for table, _columns, _filled in fsql.work_tables(resident.catalog):
+            assert store.count(table) == 0, table
+        assert not store.connection.in_transaction
+        # The store is undamaged: a retry equals the memory twin.
+        assert run(None) == expected()
+        for schema in resident.catalog:
+            assert store.relation_rows(schema) == set(
+                memory.instance[schema.name]
+            ), schema.name
