@@ -121,10 +121,16 @@ class SchemaMapping:
 
         A mapping with a single source atom is a projection/selection
         over that source: every provenance column is determined by the
-        source tuple, so P_m can be a virtual view over the source
-        relation (Fig. 2's P2, P3, P4).
+        source tuple, so P_m need not be stored at all (Fig. 2's P2,
+        P3, P4).
         """
         return len(self.body) == 1
+
+    @property
+    def stores_provenance(self) -> bool:
+        """True iff the store keeps a ``P_m`` table for this mapping
+        (non-superfluous, with at least one provenance column)."""
+        return not self.is_superfluous and bool(self._columns)
 
     # -- derivation-node encoding ----------------------------------------------
 

@@ -131,6 +131,13 @@ class CDSS:
             self.add_peer(peer)
 
     @property
+    def resident(self) -> bool:
+        """True once this system exchanges store-resident: its pinned
+        :attr:`exchange_store` holds the only copy of the derived
+        relations and the firing history."""
+        return self._resident
+
+    @property
     def exchange_seconds(self) -> float:
         """Cumulative wall-clock seconds spent in update exchange.
 
@@ -698,8 +705,7 @@ class CDSS:
             name: mapping
             for name in dead_by_mapping
             if (mapping := self.mappings.get(name)) is not None
-            and not mapping.is_superfluous
-            and mapping.provenance_columns
+            and mapping.stores_provenance
         }
         dead_keys = {
             name: {
@@ -999,13 +1005,20 @@ class CDSS:
         :class:`~repro.storage.sqlite_backend.SQLiteStorage` — or over
         a temporary one mirrored from this system when omitted.
 
+        A store-resident system keeps no Python graph, so it answers
+        ``engine="sqlite"`` only, over its pinned store itself: nothing
+        is copied, and a *storage* bound to any other store raises
+        :class:`~repro.errors.ExchangeError`, as :meth:`exchange` does.
+        Between :meth:`delete_local` and :meth:`propagate_deletions`
+        the query sees the store as the graph queries do: victims are
+        gone from ``R_l``, their consequences not yet.
+
         ``validate`` pre-flights the query through the static analyzer
         (:func:`repro.analysis.analyze_query`): ``"warn"`` reports
         RA5xx findings as a warning, ``"error"`` raises
         :class:`~repro.errors.AnalysisError` on errors (e.g. RA502
         unsatisfiable condition); the report lands in
-        :attr:`last_validation` either way.  Store-resident systems
-        must query through the resident graph-query API instead.
+        :attr:`last_validation` either way.
         """
         if validate != "off":
             if validate not in ("warn", "error"):
@@ -1023,14 +1036,13 @@ class CDSS:
                 warnings.warn(
                     f"query pre-flight:\n{report}", stacklevel=2
                 )
-        if self._resident:
-            raise ExchangeError(
-                "ProQL queries need the materialized instance/graph, "
-                "which a store-resident system does not keep in "
-                "Python; use the resident graph-query API "
-                "(lineage/derivability/trusted) instead"
-            )
         if engine == "memory":
+            if self._resident:
+                raise ExchangeError(
+                    'engine="memory" needs the provenance graph, which '
+                    "a store-resident system does not keep in Python; "
+                    'use engine="sqlite", which reads the store'
+                )
             from repro.proql.graph_engine import GraphEngine
 
             return GraphEngine(self.graph, self.catalog).run(query)
@@ -1047,6 +1059,8 @@ class CDSS:
             storage = SQLiteStorage(self)
             storage.load()
         assert isinstance(storage, SQLiteStorage)
+        if self._resident:
+            self._check_resident_store(storage.store)
         try:
             return SQLEngine(storage).run(query)
         finally:

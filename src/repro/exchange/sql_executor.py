@@ -308,6 +308,42 @@ class ExchangeStore:
         )
         self._known_tables.add(name)
 
+    def ensure_stored_schema(
+        self,
+        catalog: Catalog,
+        mappings: TMapping[str, SchemaMapping],
+        token: str | None = None,
+    ) -> None:
+        """Create (idempotently) the stored encoding of Section 4.1:
+        one typeless table per relation and one ``P_m`` table per
+        non-superfluous mapping, indexed on every column.  This is the
+        only relational encoding of the provenance graph — exchange,
+        deletion, the index and ProQL (through
+        :class:`~repro.storage.sqlite_backend.SQLiteStorage`) all read
+        it.  *token* memoizes the DDL once per program on this
+        connection."""
+        if token is not None and token in self._schema_ready:
+            return
+        for schema in catalog:
+            self._create_table(schema.name, schema.attribute_names)
+        for mapping in mappings.values():
+            if not mapping.stores_provenance:
+                continue
+            schema = mapping.provenance_schema()
+            self._create_table(schema.name, schema.attribute_names)
+            # Indexed on every column (as in the paper's storage
+            # layer): the per-round dedup probe and path traversals
+            # may enter a provenance relation from either side.
+            for attribute in schema.attribute_names:
+                self._create_index(
+                    f"__ix_{schema.name}__{attribute}",
+                    schema.name,
+                    (attribute,),
+                )
+        self.connection.commit()
+        if token is not None:
+            self._schema_ready.add(token)
+
     def ensure_schema(
         self,
         catalog: Catalog,
@@ -315,8 +351,9 @@ class ExchangeStore:
         fsql: FixpointSQL,
         token: str | None = None,
     ) -> None:
-        """Create (idempotently) the stored relations, the ``P_m``
-        tables, and *fsql*'s work tables and indexes.
+        """Create (idempotently) the stored schema
+        (:meth:`ensure_stored_schema`) and *fsql*'s work tables and
+        indexes.
 
         *token* (the compiled program's fingerprint, which covers the
         catalog via the per-relation local rules) memoizes both parts:
@@ -325,27 +362,10 @@ class ExchangeStore:
         work tables with an instance's ``indexed`` prefixes get an
         index on all their columns (the probes of the round-end stage,
         the exchange guards and the lineage dedup)."""
-        ready = self._schema_ready
         work = (token, fsql.kind.fired)
-        if token is not None and work in ready:
+        if token is not None and work in self._schema_ready:
             return
-        if token is None or token not in ready:
-            for schema in catalog:
-                self._create_table(schema.name, schema.attribute_names)
-            for mapping in mappings.values():
-                if mapping.is_superfluous or not mapping.provenance_columns:
-                    continue
-                schema = mapping.provenance_schema()
-                self._create_table(schema.name, schema.attribute_names)
-                # Indexed on every column (as in the paper's storage
-                # layer): the per-round dedup probe and path traversals
-                # may enter a provenance relation from either side.
-                for attribute in schema.attribute_names:
-                    self._create_index(
-                        f"__ix_{schema.name}__{attribute}",
-                        schema.name,
-                        (attribute,),
-                    )
+        self.ensure_stored_schema(catalog, mappings, token)
         for name, columns, _filled in fsql.work_tables(catalog):
             self._create_table(name, columns)
             if columns and name.startswith(fsql.kind.indexed):
@@ -360,7 +380,7 @@ class ExchangeStore:
                 )
         self.connection.commit()
         if token is not None:
-            ready.update((token, work))
+            self._schema_ready.add(work)
 
     def _create_index(
         self, name: str, table: str, columns: tuple[str, ...]

@@ -508,7 +508,7 @@ def _project_provenance(
 ) -> Statement | None:
     """Fresh firings -> *target* rows shaped like the mapping's ``P_m``
     (None for non-mappings and superfluous mappings)."""
-    if mapping is None or mapping.is_superfluous or not mapping.provenance_columns:
+    if mapping is None or not mapping.stores_provenance:
         return None
     slot_of = _assign_slots(crule.rule)
     cols = []

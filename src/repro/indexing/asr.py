@@ -32,7 +32,7 @@ from repro.datalog.terms import Term, Variable
 from repro.datalog.unification import unify_atoms
 from repro.errors import IndexingError
 from repro.relational.schema import RelationSchema
-from repro.storage.encoding import quote_identifier, sql_type
+from repro.storage.encoding import quote_identifier
 
 ASR_KINDS = ("complete", "prefix", "suffix", "subpath")
 
@@ -198,7 +198,7 @@ class ComposedPath:
                 column_name = self._prov_column_name(start + offset, position)
                 column = f"{alias}.{quote_identifier(column_name)}"
                 if term in location:
-                    where_parts.append(f"{column} = {location[term]}")
+                    where_parts.append(f"{column} IS {location[term]}")
                 else:
                     location[term] = column
         select_parts = []

@@ -28,6 +28,14 @@ class ASRManager:
     """Registers and materializes ASRs over one SQLite store."""
 
     def __init__(self, storage: SQLiteStorage):
+        if storage.resident:
+            # ASR tables are joins over P_m materialized once; the next
+            # exchange or deletion on the resident store would leave
+            # them stale, and a refusal beats a wrong answer.
+            raise IndexingError(
+                "ASRs cannot be registered on a store-resident system: "
+                "exchange and deletion do not maintain them"
+            )
         self.storage = storage
         self.cdss: CDSS = storage.cdss
         self.definitions: list[ASRDefinition] = []

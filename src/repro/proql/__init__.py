@@ -24,11 +24,3 @@ __all__ = [
     "Unfolder",
     "parse_query",
 ]
-
-from repro.proql.sql_annotation import (  # noqa: E402
-    AnnotationQuery,
-    compile_annotation_query,
-    is_sql_aggregatable,
-)
-
-__all__ += ["AnnotationQuery", "compile_annotation_query", "is_sql_aggregatable"]

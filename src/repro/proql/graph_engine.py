@@ -200,7 +200,7 @@ class GraphEngine:
                     step_env = dict(current)
                     if step.variable is not None:
                         step_env[step.variable] = deriv
-                    for source in sorted(set(deriv.sources)):
+                    for source in sorted(set(deriv.sources), key=repr):
                         if not self._spec_matches(spec, source, step_env):
                             continue
                         yield from extend(
@@ -211,7 +211,7 @@ class GraphEngine:
                         )
             else:  # plus
                 ancestors, _ = self._reachable_up(node)
-                for end in sorted(ancestors):
+                for end in sorted(ancestors, key=repr):
                     if not self._spec_matches(spec, end, current):
                         continue
                     yield from extend(
@@ -221,7 +221,9 @@ class GraphEngine:
                         self._bind_spec(spec, end, current),
                     )
 
-        for start in sorted(self._spec_candidates(path.specs[0], env)):
+        for start in sorted(
+            self._spec_candidates(path.specs[0], env), key=repr
+        ):
             yield from extend(
                 start, path.steps, path.specs[1:], self._bind_spec(
                     path.specs[0], start, env
@@ -295,7 +297,7 @@ class GraphEngine:
                         output.add_tuple(tup)
                     success = True
             else:
-                for end in sorted(ancestors):
+                for end in sorted(ancestors, key=repr):
                     if not self._spec_matches(spec, end, env):
                         continue
                     if not self._include_from(

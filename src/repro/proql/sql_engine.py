@@ -1,6 +1,10 @@
 """The SQL-backed ProQL engine (Section 4.2).
 
-Pipeline, mirroring the paper's stages:
+It reads the one relational encoding of the provenance graph — the
+exchange store's relation and ``P_m`` tables, bound to a CDSS by
+:class:`~repro.storage.sqlite_backend.SQLiteStorage` — so it runs over
+a memory-engine system's loaded store and over a store-resident
+system's pinned store alike.  Pipeline, mirroring the paper's stages:
 
 1. build the provenance **schema graph** from the mappings (shared
    across queries);
@@ -13,7 +17,7 @@ Pipeline, mirroring the paper's stages:
 5. **reconstruct** the matched provenance subgraph from the result
    rows' derivation-tree specs, then evaluate bindings, INCLUDE paths,
    RETURN, and any annotation on that (small) subgraph with the
-   reference semantics.
+   reference semantics — the one EVALUATE path.
 
 Step 5 guarantees the SQL engine agrees with the graph engine by
 construction wherever both apply; the SQL work (unfolding + joins) is
@@ -26,7 +30,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.errors import ProQLSemanticError
 from repro.obs.trace import NULL_TRACER
 from repro.proql.ast import (
     Evaluation,
@@ -294,71 +297,6 @@ class SQLEngine:
             annotated_rows=inner.annotated_rows,
             stats=stats,
         )
-
-    def run_annotation_sql(
-        self, query: str | Query
-    ) -> tuple[dict[TupleNode, object], SQLStats]:
-        """Evaluate an EVALUATE query entirely inside SQL (§4.2.4).
-
-        Compiles one UNION ALL + GROUP BY (+ HAVING) aggregation over
-        the unfolded rules, with the semiring expression as an extra
-        column — the paper's push-down scheme.  Supported for the
-        standard query shape and the SQL-encodable semirings
-        (derivability/trust as 0/1 + SUM, weight as MIN, count as SUM);
-        raises :class:`ProQLSemanticError` otherwise, in which case
-        :meth:`run` (graph-side aggregation) is the general fallback.
-
-        Returns the (tuple node -> annotation) map — tuples filtered
-        out by HAVING (underivable/untrusted) are absent, i.e. at the
-        semiring's zero.
-        """
-        from repro.proql.sql_annotation import (
-            compile_annotation_query,
-            is_sql_aggregatable,
-        )
-
-        ast = parse_query(query) if isinstance(query, str) else query
-        if not isinstance(ast, Evaluation) or not is_sql_aggregatable(ast):
-            raise ProQLSemanticError(
-                "query does not match the SQL-aggregation shape; use run()"
-            )
-        stats = SQLStats()
-        anchor = ast.projection.for_paths[0].specs[0].relation
-        t0 = time.perf_counter()
-        with self.tracer.span("query.unfold") as uspan:
-            rules = self.unfolder.full_ancestry(anchor)
-            rules = self._rewrite(rules)
-            uspan.set("mode", "full_ancestry").set("rules", len(rules))
-        stats.unfold_seconds = time.perf_counter() - t0
-        stats.unfolded_rules = len(rules)
-        t1 = time.perf_counter()
-        compiled = compile_annotation_query(
-            ast, rules, self.cdss, self.schema_lookup, self.storage.codec
-        )
-        t2 = time.perf_counter()
-        rows = self.storage.query(compiled.sql, compiled.parameters)
-        t3 = time.perf_counter()
-        stats.compile_seconds = t2 - t1
-        stats.sql_seconds = t3 - t2
-        stats.rows = len(rows)
-        self._record_pipeline(stats)
-        stats.max_join_width = max((len(r.items) for r in rules), default=0)
-        codec = self.storage.codec
-        annotations: dict[TupleNode, object] = {}
-        for row in rows:
-            values = tuple(
-                codec.decode(value, type_)
-                for value, type_ in zip(row, compiled.types)
-            )
-            annotation = compiled.semiring.validate(
-                codec.decode(row[-1], "int")
-                if compiled.semiring.name in ("DERIVABILITY", "TRUST", "COUNT")
-                else row[-1]
-            )
-            if compiled.semiring.name in ("DERIVABILITY", "TRUST"):
-                annotation = True  # HAVING > 0 already filtered
-            annotations[TupleNode(compiled.relation, values)] = annotation
-        return annotations, stats
 
     def run_target(
         self, relation: str, collect_graph: bool = False

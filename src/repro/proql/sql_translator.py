@@ -3,10 +3,10 @@
 Each :class:`UnfoldedRule` becomes one ``SELECT DISTINCT`` block over
 the provenance relations (``P_m``), local-contribution tables
 (``R_l``), base relations, and — after ASR rewriting — access-support
-relations.  Shared variables become equality join predicates; constants
-become parameterized filters; the union of all blocks (executed
-separately, or combined with UNION ALL for aggregation) covers every
-derivation-tree shape.
+relations.  Shared variables become null-safe ``IS`` join predicates
+(a NULL data value joins as the exchange lowering joins it); constants
+become parameterized filters; the union of all blocks (each executed
+separately) covers every derivation-tree shape.
 """
 
 from __future__ import annotations
@@ -95,13 +95,13 @@ def compile_rule(
             attribute = schema.attributes[position]
             column = f"{alias}.{quote_identifier(attribute.name)}"
             if isinstance(term, Constant):
-                where_parts.append(f"{column} = ?")
+                where_parts.append(f"{column} IS ?")
                 parameters.append(codec.encode(term.value))
             elif isinstance(term, Variable):
                 if term in location:
                     first_alias, first_attr = location[term]
                     where_parts.append(
-                        f"{column} = {first_alias}.{quote_identifier(first_attr)}"
+                        f"{column} IS {first_alias}.{quote_identifier(first_attr)}"
                     )
                 else:
                     location[term] = (alias, attribute.name)

@@ -1,6 +1,6 @@
 """Relational provenance storage over SQLite (Section 4.1)."""
 
-from repro.storage.encoding import ValueCodec, quote_identifier, sql_type
+from repro.storage.encoding import ValueCodec, quote_identifier
 from repro.storage.provrel import (
     binding_of,
     derivation_from_row,
@@ -15,5 +15,4 @@ __all__ = [
     "derivation_from_row",
     "provenance_rows",
     "quote_identifier",
-    "sql_type",
 ]

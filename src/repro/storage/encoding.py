@@ -189,16 +189,6 @@ class ValueCodec:
         )
 
 
-def sql_type(attribute_type: str) -> str:
-    """SQLite column type for one of our attribute types."""
-    return {
-        "int": "INTEGER",
-        "float": "REAL",
-        "str": "TEXT",
-        "bool": "INTEGER",
-    }.get(attribute_type, "TEXT")
-
-
 def quote_identifier(name: str) -> str:
     """Defensively quote an SQL identifier."""
     if '"' in name:

@@ -4,8 +4,8 @@ Each derivation node becomes one tuple in its mapping's provenance
 relation ``P_m``, whose columns are the distinct key variables of the
 mapping (equated/copied attributes stored once).  Superfluous
 provenance relations — single-source projection mappings — are not
-materialized; the storage layer defines them as virtual views over the
-source relation (Fig. 2).
+materialized (Fig. 2): every column is recoverable from the source
+tuple, and ProQL's unfolding joins the source relation directly.
 
 Derivation nodes record source/target *tuples*, not bindings, so this
 module recovers the binding by matching the mapping's atoms against

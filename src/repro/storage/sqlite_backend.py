@@ -1,184 +1,100 @@
-"""SQLite-backed provenance storage (Section 4).
+"""The relational provenance store ProQL's SQL engine reads (Section 4).
 
-The paper stores base relations, local-contribution relations, and one
-provenance relation per mapping inside an RDBMS (DB2 in their testbed);
-we use Python's bundled SQLite, which executes the same translated SQL
-(multi-way joins, UNION ALL, GROUP BY/HAVING) over the same encoding:
+The paper stores the provenance graph once, inside an RDBMS (DB2 in
+their testbed): every peer relation and local-contribution relation,
+plus one provenance relation ``P_m`` per non-superfluous mapping —
+one row per derivation node (§4.1).  ProQL is translated to SQL over
+that encoding (§4.2).  Here the encoding is the exchange store's
+schema (:meth:`~repro.exchange.sql_executor.ExchangeStore.ensure_stored_schema`):
+typeless columns holding :class:`~repro.storage.encoding.ValueCodec`
+values, and ``P_m`` indexed on every column.  A superfluous
+(single-source) mapping has no ``P_m``: the unfolder never emits a
+provenance atom for one.
 
-* one table per relation, typed columns, B-tree index on the key;
-* one table ``P_m`` per non-superfluous mapping — one row per
-  derivation node — indexed on every column (path traversals may enter
-  a provenance relation from either side);
-* one *view* ``P_m`` per superfluous (single-source) mapping, defined
-  over its source relation (Fig. 2).
+:class:`SQLiteStorage` binds a CDSS to one such store:
+
+* a store-resident system is bound to its pinned store — the
+  authoritative instance itself, so nothing is copied and
+  :meth:`~SQLiteStorage.load` has nothing to do;
+* any other system gets a store of its own, which
+  :meth:`~SQLiteStorage.load` fills from the Python instance (through
+  ``ExchangeStore.sync_instance``, the one mirror path) and from the
+  provenance graph (through :func:`~repro.storage.provrel.provenance_rows`).
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.cdss.mapping import SchemaMapping, provenance_relation_name
 from repro.cdss.system import CDSS
-from repro.datalog.terms import Constant, Variable
-from repro.errors import StorageError
-from repro.relational.schema import RelationSchema
-from repro.storage.encoding import ValueCodec, quote_identifier, sql_type
+from repro.errors import ExchangeError, StorageError
+from repro.storage.encoding import quote_identifier
 from repro.storage.provrel import provenance_rows
 
 
 class SQLiteStorage:
-    """Materializes a CDSS instance + provenance graph into SQLite."""
+    """Binds a CDSS to the SQLite store holding its relational encoding."""
 
     def __init__(self, cdss: CDSS, path: str = ":memory:"):
+        # Local import: repro.exchange imports repro.storage back.
+        from repro.exchange.sql_executor import (
+            ExchangeStore,
+            normalize_store_path,
+        )
+
         self.cdss = cdss
-        self.codec = ValueCodec()
-        self.connection = sqlite3.connect(path)
-        self.connection.execute("PRAGMA synchronous = OFF")
-        self.connection.execute("PRAGMA journal_mode = MEMORY")
-        self._initialized = False
-        self._closed = False
-
-    # -- DDL ------------------------------------------------------------------
-
-    def _create_relation_table(self, schema: RelationSchema) -> None:
-        columns = ", ".join(
-            f"{quote_identifier(a.name)} {sql_type(a.type)}"
-            for a in schema.attributes
-        )
-        table = quote_identifier(schema.name)
-        self.connection.execute(
-            f"CREATE TABLE IF NOT EXISTS {table} ({columns})"
-        )
-        key_cols = ", ".join(quote_identifier(k) for k in schema.key)
-        self.connection.execute(
-            f"CREATE INDEX IF NOT EXISTS "
-            f"{quote_identifier('ix_' + schema.name + '_key')} "
-            f"ON {table} ({key_cols})"
-        )
-
-    def _create_provenance_table(self, mapping: SchemaMapping) -> None:
-        schema = mapping.provenance_schema()
-        table = quote_identifier(schema.name)
-        columns = ", ".join(
-            f"{quote_identifier(a.name)} {sql_type(a.type)}"
-            for a in schema.attributes
-        )
-        self.connection.execute(
-            f"CREATE TABLE IF NOT EXISTS {table} ({columns})"
-        )
-        for attribute in schema.attributes:
-            self.connection.execute(
-                f"CREATE INDEX IF NOT EXISTS "
-                f"{quote_identifier(f'ix_{schema.name}_{attribute.name}')} "
-                f"ON {table} ({quote_identifier(attribute.name)})"
-            )
-
-    def _create_provenance_view(self, mapping: SchemaMapping) -> None:
-        """Virtual P_m for a superfluous mapping: a projection of its
-        single source relation, filtered by any body constants."""
-        (body_atom,) = mapping.body
-        source_schema = self.cdss.catalog[body_atom.relation]
-        select_parts: list[str] = []
-        where_parts: list[str] = []
-        positions: dict[Variable, int] = {}
-        for position, term in enumerate(body_atom.terms):
-            attribute = quote_identifier(source_schema.attributes[position].name)
-            if isinstance(term, Variable):
-                if term in positions:
-                    first = quote_identifier(
-                        source_schema.attributes[positions[term]].name
-                    )
-                    where_parts.append(f"{first} = {attribute}")
-                else:
-                    positions[term] = position
-            elif isinstance(term, Constant):
-                value = self.codec.encode(term.value)
-                literal = repr(value) if isinstance(value, str) else str(value)
-                where_parts.append(f"{attribute} = {literal}")
-        for column in mapping.provenance_columns:
-            if column.variable not in positions:
-                raise StorageError(
-                    f"superfluous mapping {mapping.name}: column "
-                    f"{column.name} not recoverable from the source atom"
+        #: bound to a resident system's pinned store (not owned here)
+        self.resident = cdss.resident
+        if self.resident:
+            store = cdss.exchange_store
+            if store is None or store.closed:
+                raise ExchangeError(
+                    "ProQL over a store-resident system needs its store "
+                    "(it holds the only copy of the derived relations), "
+                    "but the store is closed; reopen it via "
+                    "exchange(storage=<path>, resident=True)"
                 )
-            attribute = source_schema.attributes[positions[column.variable]].name
-            select_parts.append(
-                f"{quote_identifier(attribute)} AS {quote_identifier(column.name)}"
-            )
-        view = quote_identifier(provenance_relation_name(mapping.name))
-        source = quote_identifier(body_atom.relation)
-        where = f" WHERE {' AND '.join(where_parts)}" if where_parts else ""
-        self.connection.execute(
-            f"CREATE VIEW IF NOT EXISTS {view} AS "
-            f"SELECT {', '.join(select_parts)} "
-            f"FROM {source}{where}"
-        )
-
-    def initialize(self) -> None:
-        """Create all tables, indexes, and superfluous-mapping views.
-
-        Idempotent: every DDL statement is ``IF NOT EXISTS``, so
-        repeated ``prepare_storage``/``load`` calls (and re-opening an
-        on-disk database that already has the schema) are safe.
-        """
-        for schema in self.cdss.catalog:
-            self._create_relation_table(schema)
-        for mapping in self.cdss.mappings.values():
-            if mapping.is_superfluous:
-                self._create_provenance_view(mapping)
-            else:
-                self._create_provenance_table(mapping)
-        self.connection.commit()
-        self._initialized = True
-
-    # -- loading ------------------------------------------------------------
-
-    def _insert_rows(
-        self, table_name: str, arity: int, rows: Iterable[Sequence[object]]
-    ) -> int:
-        placeholders = ", ".join("?" for _ in range(arity))
-        statement = (
-            f"INSERT INTO {quote_identifier(table_name)} VALUES ({placeholders})"
-        )
-        encoded = [self.codec.encode_row(row) for row in rows]
-        self.connection.executemany(statement, encoded)
-        return len(encoded)
+            if path != ":memory:" and normalize_store_path(path) != store.path:
+                raise ExchangeError(
+                    "a store-resident system is pinned to its store "
+                    f"({store.path!r}); ProQL cannot read another one"
+                )
+            self.store = store
+        else:
+            self.store = ExchangeStore(path)
+        self.connection = self.store.connection
+        self.codec = self.store.codec
 
     def load(self) -> int:
-        """(Re)load every relation and provenance table from the CDSS.
-
-        Returns the total number of rows written.
-        """
-        if not self._initialized:
-            self.initialize()
-        total = 0
-        for schema in self.cdss.catalog:
-            table = quote_identifier(schema.name)
-            self.connection.execute(f"DELETE FROM {table}")
-            total += self._insert_rows(
-                schema.name,
-                schema.arity,
+        """(Re)load the store from the CDSS: every relation through the
+        incremental mirror, every ``P_m`` in full from the provenance
+        graph.  Returns the number of rows written — 0 for a resident
+        binding, whose store already is the instance."""
+        if self.resident:
+            return 0
+        cdss, store = self.cdss, self.store
+        store.ensure_stored_schema(cdss.catalog, cdss.mappings)
+        written, _ = store.sync_instance(cdss.instance)
+        with self.connection:
+            for mapping in cdss.mappings.values():
+                if not mapping.stores_provenance:
+                    continue
+                schema = mapping.provenance_schema()
+                table = quote_identifier(schema.name)
                 # key=repr: deterministic order even for rows mixing
                 # value types (None/int/str) that do not compare.
-                sorted(self.cdss.instance[schema.name], key=repr),
-            )
-        for mapping in self.cdss.mappings.values():
-            if mapping.is_superfluous:
-                continue
-            schema = mapping.provenance_schema()
-            self.connection.execute(
-                f"DELETE FROM {quote_identifier(schema.name)}"
-            )
-            total += self._insert_rows(
-                schema.name,
-                schema.arity,
-                sorted(set(provenance_rows(mapping, self.cdss.graph)), key=repr),
-            )
-        self.connection.commit()
-        return total
-
-    # -- querying ------------------------------------------------------------
+                rows = sorted(
+                    set(provenance_rows(mapping, cdss.graph)), key=repr
+                )
+                placeholders = ", ".join("?" for _ in range(schema.arity))
+                self.connection.execute(f"DELETE FROM {table}")
+                self.connection.executemany(
+                    f"INSERT INTO {table} VALUES ({placeholders})",
+                    [self.codec.encode_row(row) for row in rows],
+                )
+                written += len(rows)
+        return written
 
     def query(
         self, sql: str, parameters: Sequence[object] = ()
@@ -197,10 +113,10 @@ class SQLiteStorage:
         return int(count)
 
     def close(self) -> None:
-        """Close the underlying connection (idempotent)."""
-        if not self._closed:
-            self.connection.close()
-            self._closed = True
+        """Close the store (idempotent); a resident binding leaves the
+        pinned store to its system."""
+        if not self.resident:
+            self.store.close()
 
     def __enter__(self) -> "SQLiteStorage":
         return self

@@ -97,6 +97,8 @@ class ExperimentResult:
 
 
 def prepare_storage(cdss: CDSS) -> SQLiteStorage:
+    """A loaded store binding for *cdss* (its pinned store when it is
+    store-resident)."""
     storage = SQLiteStorage(cdss)
     storage.load()
     return storage

@@ -55,13 +55,14 @@ def example_peers() -> list[Peer]:
     ]
 
 
-def populate_example(system: CDSS) -> CDSS:
-    """Figure 1's base data (boldface tuples)."""
+def populate_example(system: CDSS, **exchange) -> CDSS:
+    """Figure 1's base data (boldface tuples), exchanged with the
+    given ``CDSS.exchange`` arguments."""
     system.insert_local("A", (1, "sn1", 7))
     system.insert_local("A", (2, "sn1", 5))
     system.insert_local("N", (1, "cn1", False))
     system.insert_local("C", (2, "cn2"))
-    system.exchange()
+    system.exchange(**exchange)
     return system
 
 
@@ -74,13 +75,53 @@ def example_cdss() -> CDSS:
     return populate_example(system)
 
 
-@pytest.fixture
-def acyclic_cdss() -> CDSS:
+def acyclic_example(**exchange) -> CDSS:
     """The running example without m3 — an acyclic provenance graph,
     the scope of the paper's SQL implementation."""
     system = CDSS(example_peers())
     system.add_mappings([m for m in EXAMPLE_MAPPINGS if not m.startswith("m3")])
-    return populate_example(system)
+    return populate_example(system, **exchange)
+
+
+@pytest.fixture
+def acyclic_cdss() -> CDSS:
+    return acyclic_example()
+
+
+def null_chain(**exchange) -> CDSS:
+    """A chain A -> B -> C whose local data puts a NULL beside a
+    non-NULL value in the join columns of m2, exchanged with the given
+    ``CDSS.exchange`` arguments."""
+    system = CDSS(
+        [
+            Peer.of(
+                "P",
+                [
+                    RelationSchema.of(name, ["i", ("n", "str")], key=["i", "n"])
+                    for name in "ABC"
+                ],
+            )
+        ]
+    )
+    system.add_mappings(
+        ["m1: B(i, n) :- A(i, n)", "m2: C(i, n) :- A(i, n), B(i, n)"]
+    )
+    system.insert_local("A", (None, "w"))
+    system.insert_local("A", (2, "x"))
+    system.exchange(**exchange)
+    return system
+
+
+@pytest.fixture
+def null_chain_cdss() -> CDSS:
+    return null_chain()
+
+
+@pytest.fixture
+def builders() -> dict:
+    """System builders taking ``CDSS.exchange`` arguments, by name (for
+    twins exchanged on different engines)."""
+    return {"example": acyclic_example, "null": null_chain}
 
 
 @pytest.fixture

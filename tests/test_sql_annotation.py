@@ -1,13 +1,12 @@
-"""Tests for SQL-side annotation aggregation (Section 4.2.4's
-UNION ALL + GROUP BY + SUM/MIN + HAVING push-down)."""
+"""EVALUATE on the SQL engine (Section 4.2.4): the annotations of the
+subgraph the SQL pipeline reconstructs must equal the graph engine's,
+per semiring."""
 
 import math
 
 import pytest
 
-from repro.errors import ProQLSemanticError
-from repro.proql import GraphEngine, SQLEngine, parse_query
-from repro.proql.sql_annotation import is_sql_aggregatable
+from repro.proql import GraphEngine, SQLEngine
 from repro.workloads import chain, prepare_storage
 from repro.workloads.topologies import target_relation
 
@@ -30,7 +29,8 @@ def ancestry_query(semiring: str, rel: str, suffix: str = "") -> str:
 class TestAgreementWithGraphEngine:
     def check(self, setting, query, zero):
         system, sql_engine, graph_engine = setting
-        sql_annotations, stats = sql_engine.run_annotation_sql(query)
+        result = sql_engine.run(query)
+        sql_annotations, stats = result.annotations, result.stats
         expected = graph_engine.run(query).annotations
         for node in system.graph.tuples_in(target_relation()):
             got = sql_annotations.get(node, zero)
@@ -61,16 +61,7 @@ class TestAgreementWithGraphEngine:
             " ASSIGNING EACH mapping $p($z) "
             "{ CASE $p = m3 : SET false DEFAULT : SET $z }",
         )
-        stats = self.check(setting, query, False)
-        # HAVING filters untrusted tuples out of the SQL result.
-        system, sql_engine, graph_engine = setting
-        trusted = graph_engine.run(query).annotations
-        expected_rows = sum(
-            1
-            for node in system.graph.tuples_in(target_relation())
-            if trusted[node]
-        )
-        assert stats.rows == expected_rows
+        self.check(setting, query, False)
 
     def test_leaf_case_conditions_compile_to_sql(self, setting):
         # Trust leaves of peer 3's first relation only if attribute a1
@@ -85,50 +76,3 @@ class TestAgreementWithGraphEngine:
         )
         self.check(setting, query, False)
 
-
-class TestShapeDetection:
-    def test_standard_shape_accepted(self):
-        query = parse_query(ancestry_query("COUNT", "R"))
-        assert is_sql_aggregatable(query)
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            # unsupported semiring
-            "EVALUATE LINEAGE OF { FOR [R $x] INCLUDE PATH [$x] <-+ [] RETURN $x }",
-            # bounded pattern
-            "EVALUATE COUNT OF { FOR [R $x] <- [S $y] INCLUDE PATH [$x] <- [$y] RETURN $x }",
-            # no include
-            "EVALUATE COUNT OF { FOR [R $x] RETURN $x }",
-            # unanchored
-            "EVALUATE COUNT OF { FOR [$x] INCLUDE PATH [$x] <-+ [] RETURN $x }",
-            # WHERE present
-            "EVALUATE COUNT OF { FOR [R $x] WHERE $x.a = 1 INCLUDE PATH [$x] <-+ [] RETURN $x }",
-        ],
-    )
-    def test_non_aggregatable_shapes(self, text):
-        assert not is_sql_aggregatable(parse_query(text))
-
-    def test_engine_rejects_unsupported(self, setting):
-        _, sql_engine, _ = setting
-        with pytest.raises(ProQLSemanticError):
-            sql_engine.run_annotation_sql(
-                ancestry_query("LINEAGE", target_relation())
-            )
-
-    def test_engine_rejects_value_dependent_set(self, setting):
-        _, sql_engine, _ = setting
-        query = ancestry_query(
-            "WEIGHT",
-            target_relation(),
-            " ASSIGNING EACH mapping $p($z) { DEFAULT : SET $z + 1 }",
-        )
-        with pytest.raises(ProQLSemanticError):
-            sql_engine.run_annotation_sql(query)
-
-    def test_projection_query_rejected(self, setting):
-        _, sql_engine, _ = setting
-        with pytest.raises(ProQLSemanticError):
-            sql_engine.run_annotation_sql(
-                f"FOR [{target_relation()} $x] INCLUDE PATH [$x] <-+ [] RETURN $x"
-            )

@@ -39,6 +39,25 @@ QUERIES = [
 ]
 
 
+#: The same check on :func:`conftest.null_chain`, where a NULL join
+#: value sits beside a non-NULL one: the SQL joins must be null-safe.
+NULL_QUERIES = [
+    "FOR [C $x] INCLUDE PATH [$x] <-+ [] RETURN $x",
+    "EVALUATE COUNT OF { FOR [C $x] INCLUDE PATH [$x] <-+ [] RETURN $x }",
+    "EVALUATE DERIVABILITY OF { FOR [C $x] INCLUDE PATH [$x] <-+ [] RETURN $x }",
+    "FOR [C $x] <m2 [A $y] INCLUDE PATH [$x] <m2 [$y] RETURN $x, $y",
+    "FOR [C $x] <-+ [B $y] INCLUDE PATH [$x] <-+ [$y] RETURN $x, $y",
+]
+
+CASES = [
+    pytest.param("engines", query, id=str(number))
+    for number, query in enumerate(QUERIES)
+] + [
+    pytest.param("null_engines", query, id=f"null-{number}")
+    for number, query in enumerate(NULL_QUERIES)
+]
+
+
 @pytest.fixture
 def engines(acyclic_cdss, acyclic_storage):
     return (
@@ -47,17 +66,27 @@ def engines(acyclic_cdss, acyclic_storage):
     )
 
 
-@pytest.mark.parametrize("query", QUERIES, ids=range(len(QUERIES)))
-def test_engines_agree(engines, query):
-    graph_engine, sql_engine = engines
-    expected = graph_engine.run(query)
-    actual = sql_engine.run(query)
+@pytest.fixture
+def null_engines(null_chain_cdss):
+    system = null_chain_cdss
+    with SQLiteStorage(system) as storage:
+        storage.load()
+        yield GraphEngine(system.graph, system.catalog), SQLEngine(storage)
+
+
+def assert_same_answer(expected, actual):
     assert [tuple(map(str, r)) for r in expected.rows] == [
         tuple(map(str, r)) for r in actual.rows
     ]
     assert expected.graph == actual.graph
     assert expected.annotations == actual.annotations
     assert expected.annotated_rows == actual.annotated_rows
+
+
+@pytest.mark.parametrize(("setting", "query"), CASES)
+def test_engines_agree(request, setting, query):
+    graph_engine, sql_engine = request.getfixturevalue(setting)
+    assert_same_answer(graph_engine.run(query), sql_engine.run(query))
 
 
 class TestStats:
@@ -133,3 +162,97 @@ class TestWorkloadEquivalence:
             assert result.annotations == expected.annotations
         finally:
             storage.close()
+
+
+def test_null_beside_value_runs_on_every_entry_point(null_chain_cdss):
+    # Tuple nodes whose values mix None and int must still sort.
+    system = null_chain_cdss
+    query = NULL_QUERIES[0]
+    expected = [
+        (TupleNode("C", (2, "x")),),
+        (TupleNode("C", (None, "w")),),
+    ]
+    with SQLiteStorage(system) as storage:
+        storage.load()
+        results = [
+            GraphEngine(system.graph, system.catalog).run(query),
+            SQLEngine(storage).run(query),
+            system.query(query),
+            system.query(query, engine="sqlite"),
+        ]
+    for result in results:
+        assert result.rows == expected
+        assert result.graph.size() == (8, 6)
+
+
+#: Per system (a ``builders`` name): query shapes, a local insertion
+#: batch for the incremental exchange, and the local deletions to
+#: propagate.
+RESIDENT_TWINS = {
+    "example": (
+        QUERIES,
+        [("A", (3, "sn3", 6)), ("N", (3, "cn3", False)), ("C", (4, "cn4"))],
+        [("A", (1, "sn1", 7)), ("C", (2, "cn2"))],
+    ),
+    "null": (NULL_QUERIES, [("A", (None, "y"))], [("A", (None, "w"))]),
+}
+
+
+class TestResidentStore:
+    """ProQL over a store-resident system reads its pinned store and
+    answers as the graph engine does over the memory twin."""
+
+    @pytest.fixture(params=sorted(RESIDENT_TWINS))
+    def twins(self, request, builders, tmp_path):
+        build = builders[request.param]
+        queries, inserts, deletes = RESIDENT_TWINS[request.param]
+        memory = build()
+        resident = build(
+            engine="sqlite", storage=str(tmp_path / "store.db"), resident=True
+        )
+        yield memory, resident, queries, inserts, deletes
+        resident.exchange_store.close()
+
+    @staticmethod
+    def check(memory, resident, queries):
+        for query in queries:
+            assert_same_answer(
+                memory.query(query), resident.query(query, engine="sqlite")
+            )
+
+    def test_agrees_with_memory_twin_across_lifecycle(self, twins):
+        memory, resident, queries, inserts, deletes = twins
+        self.check(memory, resident, queries)
+        for system in (memory, resident):
+            for relation, row in inserts:
+                system.insert_local(relation, row)
+            system.exchange()
+        self.check(memory, resident, queries)
+        for system in (memory, resident):
+            for relation, row in deletes:
+                assert system.delete_local(relation, row)
+            system.propagate_deletions()
+        self.check(memory, resident, queries)
+        assert resident.graph.size() == (0, 0)
+
+    def test_binding_is_the_pinned_store(self, twins, tmp_path):
+        from repro.cdss import CDSS
+        from repro.errors import ExchangeError, IndexingError
+        from repro.indexing import ASRManager
+
+        _, resident, queries, _, _ = twins
+        store = resident.exchange_store
+        storage = prepare_storage(resident)
+        assert storage.store is store and storage.load() == 0
+        assert SQLEngine(storage).run(queries[0]).rows
+        storage.close()
+        assert not store.closed
+        with pytest.raises(ExchangeError):
+            resident.query(queries[0])  # no Python graph to walk
+        with pytest.raises(ExchangeError):
+            SQLiteStorage(resident, str(tmp_path / "other.db"))
+        with SQLiteStorage(CDSS([])) as other:
+            with pytest.raises(ExchangeError):
+                resident.query(queries[0], engine="sqlite", storage=other)
+        with pytest.raises(IndexingError):
+            ASRManager(storage)

@@ -39,7 +39,7 @@ class TestCompileRule:
             (),
         )
         compiled = compile_rule(rule, simple_lookup(r_schema, s_schema), ValueCodec())
-        assert 't1."b" = t0."b"' in compiled.sql
+        assert 't1."b" IS t0."b"' in compiled.sql
         assert compiled.sql.startswith("SELECT DISTINCT")
         assert compiled.variables == (x, y, z)
 
@@ -51,7 +51,7 @@ class TestCompileRule:
             (),
         )
         compiled = compile_rule(rule, simple_lookup(schema), ValueCodec())
-        assert "= ?" in compiled.sql
+        assert "IS ?" in compiled.sql
         assert compiled.parameters == (1,)  # bool encoded as int
 
     def test_repeated_variable_in_one_atom(self):
@@ -62,7 +62,7 @@ class TestCompileRule:
             (),
         )
         compiled = compile_rule(rule, simple_lookup(schema), ValueCodec())
-        assert 't0."b" = t0."a"' in compiled.sql
+        assert 't0."b" IS t0."a"' in compiled.sql
 
     def test_not_null_constraint(self):
         schema = RelationSchema.of("R", ["a"])

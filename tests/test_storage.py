@@ -7,7 +7,7 @@ from repro.errors import StorageError
 from repro.provenance import TupleNode
 from repro.relational import RelationSchema
 from repro.storage import SQLiteStorage, ValueCodec, provenance_rows
-from repro.storage.encoding import quote_identifier, sql_type
+from repro.storage.encoding import quote_identifier
 from repro.storage.provrel import binding_of, derivation_from_row
 
 
@@ -60,12 +60,6 @@ class TestValueCodec:
         schema = RelationSchema.of("R", ["a", "b"])
         with pytest.raises(StorageError):
             codec.decode_row((1,), schema)
-
-    def test_sql_types(self):
-        assert sql_type("int") == "INTEGER"
-        assert sql_type("str") == "TEXT"
-        assert sql_type("float") == "REAL"
-        assert sql_type("bool") == "INTEGER"
 
     def test_quote_identifier_rejects_quotes(self):
         with pytest.raises(StorageError):
@@ -235,32 +229,9 @@ class TestProvenanceRelations:
             'SELECT * FROM "P_m5" ORDER BY 1, 2'
         ) == [(1, "cn1"), (2, "cn2")]
 
-    def test_superfluous_views(self, example_storage):
-        # P2, P3, P4 are views over their single source relations.
-        assert example_storage.query(
-            'SELECT * FROM "P_m2" ORDER BY 1, 2'
-        ) == [(1, "sn1"), (2, "sn1")]
-        assert example_storage.query(
-            'SELECT * FROM "P_m4" ORDER BY 1, 2'
-        ) == [(1, "sn1"), (2, "sn1")]
-        names = {
-            row[0]
-            for row in example_storage.query(
-                "SELECT name FROM sqlite_master WHERE type = 'view'"
-            )
-        }
-        assert names == {"P_m2", "P_m3", "P_m4"}
-
     def test_base_tables_loaded(self, example_storage):
         assert example_storage.table_size("O") == 4
         assert example_storage.table_size("A_l") == 2
-
-    def test_double_initialize_is_idempotent(self, example_storage):
-        # All DDL is IF NOT EXISTS: re-initializing (and re-preparing
-        # storage over an existing database) must not fail.
-        example_storage.initialize()
-        example_storage.initialize()
-        assert example_storage.table_size("O") == 4
 
     def test_reload_is_idempotent(self, example_storage):
         first = example_storage.table_size("P_m1")
@@ -334,3 +305,56 @@ class TestBindingRecovery:
         )
         with pytest.raises(StorageError):
             binding_of(mapping, derivation)
+
+
+class TestOneEncoding:
+    """``prepare_storage`` over a memory system writes exactly the
+    tables a resident exchange of the same system keeps."""
+
+    @pytest.mark.parametrize("topology", ["chain", "branched"])
+    def test_loaded_store_matches_resident_store(self, topology, tmp_path):
+        from repro.workloads import branched, chain, prepare_storage
+
+        build = {"chain": chain, "branched": branched}[topology]
+        memory = build(4, base_size=6)
+        resident = build(
+            4,
+            base_size=6,
+            engine="sqlite",
+            exchange_path=str(tmp_path / "store.db"),
+            resident=True,
+        )
+        schemas = list(memory.catalog) + [
+            m.provenance_schema()
+            for m in memory.mappings.values()
+            if m.stores_provenance
+        ]
+        with prepare_storage(memory) as storage:
+            stores = (storage.store, resident.exchange_store)
+            for schema in schemas:
+                table = quote_identifier(schema.name)
+                columns, contents = [], []
+                for store in stores:
+                    columns.append(
+                        [
+                            row[1:3]
+                            for row in store.connection.execute(
+                                f"PRAGMA table_info({table})"
+                            )
+                        ]
+                    )
+                    contents.append(
+                        sorted(
+                            (
+                                store.codec.decode_row(row, schema)
+                                for row in store.connection.execute(
+                                    f"SELECT * FROM {table}"
+                                )
+                            ),
+                            key=repr,
+                        )
+                    )
+                assert columns[0] == columns[1], schema.name
+                assert contents[0] == contents[1], schema.name
+                assert contents[0] or schema.name.endswith("_l"), schema.name
+        resident.exchange_store.close()
