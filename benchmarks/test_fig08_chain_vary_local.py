@@ -7,7 +7,8 @@ local data.  Data peers sit at the upstream end, as in Section 6.1.1's
 peers".
 
 Each point is measured under both update-exchange engines (in-memory
-compiled plans vs. set-oriented SQLite), and each system runs a second,
+compiled plans vs. set-oriented SQLite, whose store is the instance the
+SQL pipeline then queries in place), and each system runs a second,
 incremental exchange after construction so the rows also witness the
 compiled-program cache and the incremental instance mirror: ``plans=0``
 with a non-zero ``cache_hits`` column means the incremental exchange

@@ -57,7 +57,6 @@ def record_deletion_matrix(recorder, tmp_path, peers: int, base: int, axis: str)
                 if engine == "sqlite"
                 else None
             ),
-            resident=(engine == "sqlite"),
         )
         deletion, seconds = delete_and_propagate(system, peer, base)
         stats[engine] = deletion

@@ -47,9 +47,12 @@ def test_storage_overhead(benchmark, recorder, kind, build, peers, engine):
         for name, rows in sizes.items()
     )
     data_rows = system.instance_size(public_only=False)
+    # A sqlite-engine system's derived relations live only in its store.
+    relation_size = (
+        system.exchange_store.count if system.resident else system.instance.size
+    )
     data_cells = sum(
-        system.instance.size(schema.name) * schema.arity
-        for schema in system.catalog
+        relation_size(schema.name) * schema.arity for schema in system.catalog
     )
     exchange = system.last_exchange
     recorder.record(

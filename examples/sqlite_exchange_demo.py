@@ -11,23 +11,23 @@ same:
   the out-of-core mode for instances larger than memory;
 * the compiled-program cache makes incremental exchanges skip plan
   compilation entirely (`plans_compiled == 0` on a cache hit);
-* the store mirror is synced *incrementally* from each relation's
-  change journal — a repeat exchange over unchanged relations ships
-  zero rows (`rows_mirrored == 0`);
-* store-resident mode (`resident=True`) keeps the authoritative
-  instance on disk only: derived tuples are never materialized in
-  Python, so working sets can exceed memory;
-* deletions work store-resident too: `delete_local` marks victims in
-  SQL and `propagate_deletions` re-runs the paper's DERIVABILITY test
-  as an iterative SQL fixpoint over the `P_m` firing history, killing
+* the store is *authoritative*: derived tuples and the `P_m` firing
+  history live only in SQLite (on disk here, or `:memory:`), never in
+  Python, so working sets can exceed memory; only local contributions
+  are synced into it, *incrementally* from each relation's change
+  journal — a repeat exchange over unchanged relations ships zero
+  rows (`rows_mirrored == 0`);
+* deletions run in the store too: `delete_local` marks victims in SQL
+  and `propagate_deletions` re-runs the paper's DERIVABILITY test as
+  an iterative SQL fixpoint over the `P_m` firing history, killing
   unsupported tuples and garbage-collecting dead `P_m` rows;
-* graph *queries* work store-resident as well: `lineage` runs as a
-  backward transitive-closure walk over the stored firing history's
-  join columns, and `trusted`/`derivability` re-use the deletion
-  fixpoint with the trust policy pushed into the firing joins — so no
-  provenance graph is ever materialized for any lifecycle step;
-* both engines produce identical instances, provenance graphs, and
-  graph-query answers.
+* graph *queries* run in the store as well: `lineage` probes the
+  maintained reachability index over the stored firing history, and
+  `trusted`/`derivability` run the liveness fixpoint with the trust
+  policy pushed into the firing joins — so no provenance graph is ever
+  materialized for any lifecycle step;
+* the store holds exactly the memory engine's relations and `P_m`
+  rows, and both answer graph queries identically.
 
 Run:  python examples/sqlite_exchange_demo.py [workdir]
 """
@@ -39,6 +39,7 @@ from pathlib import Path
 from repro.cdss.trust import TrustPolicy
 from repro.provenance.graph import TupleNode
 from repro.relational.schema import is_local_name
+from repro.storage import provenance_rows
 from repro.workloads import chain
 from repro.workloads.swissprot import generate_entries
 from repro.workloads.topologies import TopologySpec, build_system
@@ -50,6 +51,18 @@ def build_cdss():
     return build_system(TopologySpec("chain", 6, (), base_size=0))
 
 
+def assert_same_relations(memory, sqlite) -> None:
+    """The sqlite system's store holds exactly the memory twin's
+    relations and P_m rows."""
+    store = sqlite.exchange_store
+    for schema in sqlite.catalog:
+        assert store.relation_rows(schema) == set(memory.instance[schema.name])
+    for name, mapping in sqlite.mappings.items():
+        if mapping.stores_provenance:
+            expected = set(provenance_rows(memory.mappings[name], memory.graph))
+            assert store.count(f"P_{name}") == len(expected), name
+
+
 def main() -> None:
     workdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(
         tempfile.mkdtemp(prefix="repro-exchange-")
@@ -58,7 +71,7 @@ def main() -> None:
     store_path = str(workdir / "exchange.db")
 
     # One chain workload per engine; the sqlite one keeps its working
-    # set on disk (out-of-core).
+    # set on disk (out-of-core), and the store IS its instance.
     memory = chain(6, base_size=40, engine="memory")
     sqlite = chain(6, base_size=40, engine="sqlite", exchange_path=store_path)
 
@@ -67,15 +80,20 @@ def main() -> None:
         result = system.last_exchange
         print(
             f"  {label:>6}: {system.instance_size()} tuples, "
-            f"graph {system.graph.size()}, {result.firings} firings, "
-            f"{result.plans_compiled} plans compiled"
+            f"graph in Python {system.graph.size()}, {result.firings} "
+            f"firings, {result.plans_compiled} plans compiled"
         )
-    assert memory.instance == sqlite.instance
-    assert memory.graph.tuples == sqlite.graph.tuples
-    assert memory.graph.derivations == sqlite.graph.derivations
-    baseline_size = memory.instance_size()
+    assert_same_relations(memory, sqlite)
+    public_in_python = sum(
+        sqlite.instance.size(r)
+        for r in sqlite.catalog.names()
+        if not is_local_name(r)
+    )
+    assert public_in_python == 0 and sqlite.graph.size() == (0, 0)
+    assert sqlite.instance_size() == memory.instance_size()
     print(f"  on-disk store: {store_path} "
-          f"({Path(store_path).stat().st_size} bytes)")
+          f"({Path(store_path).stat().st_size} bytes), "
+          f"{public_in_python} derived tuples in Python memory")
 
     # Incremental update: the program is unchanged, so the compiled
     # plans come from the cache and nothing is recompiled.
@@ -95,9 +113,9 @@ def main() -> None:
             f"{result.relations_synced} relations"
         )
         assert result.plan_cache_hit and result.plans_compiled == 0
-    assert memory.instance == sqlite.instance
-    # Only the two appended rows crossed into the store — the rest of
-    # the instance was already mirrored (journal high-water marks).
+    assert_same_relations(memory, sqlite)
+    # Only the two appended local rows crossed into the store — the
+    # rest was already there (journal high-water marks).
     assert sqlite.last_exchange.rows_mirrored == 2
 
     # A repeat exchange over unchanged relations ships nothing at all.
@@ -107,109 +125,90 @@ def main() -> None:
         f"relations_synced = {unchanged.relations_synced}"
     )
     assert unchanged.rows_mirrored == 0 and unchanged.relations_synced == 0
+    size_before = sqlite.instance_size()
 
-    # Store-resident mode: the store IS the instance.  Derived tuples
-    # exist only on disk; Python holds just the local contributions.
-    resident = chain(
-        6,
-        base_size=40,
-        engine="sqlite",
-        exchange_path=str(workdir / "resident.db"),
-        resident=True,
-    )
-    public_in_python = sum(
-        resident.instance.size(r)
-        for r in resident.catalog.names()
-        if not is_local_name(r)
-    )
-    print(
-        f"resident mode: {resident.instance_size()} tuples on disk, "
-        f"{public_in_python} derived tuples in Python memory"
-    )
-    assert public_in_python == 0
-    assert resident.instance_size() == baseline_size
-
-    # Store-resident deletion propagation: delete a slice of the most
+    # Deletion propagation in the store: delete a slice of the most
     # upstream peer's base data, then let the DERIVABILITY test run as
     # a SQL fixpoint over the P_m firing history — victims and every
     # tuple they solely supported disappear from the on-disk instance,
     # and the dead P_m rows are garbage-collected alongside.
     upstream = 5
     victims = generate_entries(40, seed=upstream, key_offset=upstream * 10_000_000)[:4]
-    for victim in victims:
-        resident.delete_local(f"P{upstream}_R1", victim.first_row())
-        resident.delete_local(f"P{upstream}_R2", victim.second_row())
-    removed = resident.propagate_deletions()
-    stats = resident.last_deletion
+    for system in (memory, sqlite):
+        for victim in victims:
+            system.delete_local(f"P{upstream}_R1", victim.first_row())
+            system.delete_local(f"P{upstream}_R2", victim.second_row())
+    memory.propagate_deletions()
+    removed = sqlite.propagate_deletions()
+    stats = sqlite.last_deletion
     print(
-        f"resident delete: {len(victims) * 2} victims marked in SQL, "
+        f"store delete: {len(victims) * 2} victims marked in SQL, "
         f"{removed} unsupported tuples propagated out in "
         f"{stats.iterations} fixpoint rounds, "
         f"{stats.pm_rows_collected} P_m rows collected"
     )
     assert stats.rows_deleted == removed > 0
-    assert stats.pm_rows_collected > 0
-    assert resident.instance_size() < baseline_size
+    assert stats.pm_rows_collected == memory.last_deletion.pm_rows_collected > 0
+    assert sqlite.instance_size() < size_before
+    assert_same_relations(memory, sqlite)
 
     # The store remains fully incremental after the delete: a fresh
     # exchange re-derives only what the new rows support.
-    resident.insert_local("P5_R1", entry)
-    resident.insert_local("P5_R2", entry2)
-    after_delete = resident.exchange(engine="sqlite", resident=True)
+    for system in (memory, sqlite):
+        system.insert_local("P5_R1", (99_000_777, *(7,) * 12))
+        system.insert_local("P5_R2", (99_000_777, *(8,) * 13))
+        system.exchange()
+    after_delete = sqlite.last_exchange
     assert after_delete.rows_mirrored == 2
+    assert after_delete.inserted == memory.last_exchange.inserted > 0
+    assert_same_relations(memory, sqlite)
     print(
         f"post-delete incremental exchange: {after_delete.inserted} tuples "
         f"re-derived, {after_delete.rows_mirrored} rows mirrored"
     )
 
-    # Store-resident graph queries: the provenance graph is never
-    # built, yet lineage/derivability/trusted answer relationally.
-    # lineage(node) walks the firing history backwards from the query
-    # row (a transitive closure over the P_m join columns); the entry
-    # just inserted at the most upstream peer reaches the target peer
+    # Graph queries in the store: the provenance graph is never built,
+    # yet lineage/derivability/trusted answer relationally.  The entry
+    # inserted at the most upstream peer reaches the target peer
     # through the whole chain, so its target-side tuple's lineage is
     # the pair of upstream local contributions.
     node = TupleNode("P0_R1", entry)
-    leaves = resident.lineage(node)
-    stats = resident.last_graph_query
+    leaves = sqlite.lineage(node)
+    stats = sqlite.last_graph_query
     print(
-        f"resident lineage of {node.relation}{node.values[:2]}...: "
-        f"{len(leaves)} leaf tuples in {stats.iterations} walk rounds "
-        f"({stats.pm_rows_scanned} firing rows scanned, engine={stats.engine})"
+        f"store lineage of {node.relation}{node.values[:2]}...: "
+        f"{len(leaves)} leaf tuples ({stats.pm_rows_scanned} firing rows "
+        f"scanned, engine={stats.engine})"
     )
-    assert leaves == frozenset(
+    assert leaves == memory.lineage(node) == frozenset(
         {TupleNode("P5_R1_l", entry), TupleNode("P5_R2_l", entry2)}
     )
-    assert resident.graph.size() == (0, 0)  # still no graph in Python
+    assert sqlite.graph.size() == (0, 0)  # still no graph in Python
 
     # trusted() pushes the policy INTO the liveness fixpoint: distrusting
     # the most upstream mapping cuts everything derived through it,
     # and leaf conditions filter which local rows seed the live set.
     policy = TrustPolicy()
     policy.distrust_mapping("m5")  # the edge out of peer 5
-    verdicts = resident.trusted(policy)
+    verdicts = sqlite.trusted(policy)
     trusted_count = sum(1 for trusted in verdicts.values() if trusted)
     print(
-        f"resident trust under distrust(m5): {trusted_count} of "
+        f"store trust under distrust(m5): {trusted_count} of "
         f"{len(verdicts)} stored tuples trusted "
-        f"({resident.last_graph_query.pm_rows_scanned} live firings)"
+        f"({sqlite.last_graph_query.pm_rows_scanned} live firings)"
     )
+    assert verdicts == memory.trusted(policy)
     assert not verdicts[node]  # entry only reaches P0 through m5
     assert trusted_count < len(verdicts)
 
     # The P_m provenance relations were maintained inside SQLite,
     # round by round, alongside the instance tables.
     store = sqlite.exchange_store
-    mapping = next(
-        m for m in sqlite.mappings.values()
-        if not m.is_superfluous and m.provenance_columns
-    )
-    (count,) = store.connection.execute(
-        f'SELECT COUNT(*) FROM "P_{mapping.name}"'
-    ).fetchone()
+    mapping = next(m for m in sqlite.mappings.values() if m.stores_provenance)
     print(
-        f"provenance relation P_{mapping.name} holds {count} derivation "
-        "rows, written transactionally during the SQL fixpoint"
+        f"provenance relation P_{mapping.name} holds "
+        f"{store.count(f'P_{mapping.name}')} derivation rows, written "
+        "transactionally during the SQL fixpoint"
     )
 
 

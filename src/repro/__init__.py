@@ -8,7 +8,8 @@ Public API surface.  The typical flow:
    :mod:`repro.exchange`), with compiled plans cached across
    incremental calls,
 3. bind to the relational store with :class:`~repro.storage.SQLiteStorage`
-   (a resident system's own store, or one loaded from the Python side),
+   (a sqlite-engine system's own store, or one loaded from a
+   memory-engine system),
 4. query with :class:`~repro.proql.SQLEngine` (or the reference
    :class:`~repro.proql.GraphEngine`), optionally after registering
    ASRs through :class:`~repro.indexing.ASRManager`.

@@ -292,7 +292,7 @@ def query_pass(
                 Diagnostic("RA504", str(exc), subject=str(path))
             )
             continue
-        viability = PatternViability(graph, path, get_allowed, local_edges=True)
+        viability = PatternViability(graph, path, get_allowed)
         viable = [a for a in anchors if viability.start_viable(a)]
         if not viable:
             diagnostics.append(

@@ -121,21 +121,18 @@ class CDSS:
         #: lazily created unfolded-ProQL-program cache (see
         #: :attr:`unfold_cache`); None until the first query needs it.
         self._unfold_cache: "UnfoldCache | None" = None
-        #: lazily created SQLite mirror for ``engine="sqlite"``.
+        #: the authoritative store of a sqlite-engine system, pinned by
+        #: its first exchange (None for a memory-engine system).
         self.exchange_store: "ExchangeStore | None" = None
-        self._owns_store = False
-        #: True once this system has run a store-resident exchange
-        #: (``resident=True``); the mode is sticky for the CDSS's life.
-        self._resident = False
         for peer in peers:
             self.add_peer(peer)
 
     @property
     def resident(self) -> bool:
-        """True once this system exchanges store-resident: its pinned
-        :attr:`exchange_store` holds the only copy of the derived
+        """True once this system exchanges on the sqlite engine: its
+        pinned :attr:`exchange_store` holds the only copy of the derived
         relations and the firing history."""
-        return self._resident
+        return self.exchange_store is not None
 
     @property
     def exchange_seconds(self) -> float:
@@ -168,7 +165,7 @@ class CDSS:
         """Register a peer and its relations (plus their
         local-contribution twins and ``L_R`` rules).
 
-        Engine-independent: works identically in store-resident mode —
+        Engine-independent: works identically on the sqlite engine —
         the new relations' tables are created in the store by the next
         exchange.  Invalidates the compiled-program cache.
         """
@@ -197,7 +194,7 @@ class CDSS:
     def add_mapping(self, text_or_mapping: str | SchemaMapping, name: str | None = None) -> SchemaMapping:
         """Register a mapping given as rule text or a SchemaMapping.
 
-        Engine-independent (works identically in store-resident mode);
+        Engine-independent (works identically on the sqlite engine);
         the mapping's ``P_m`` provenance relation is created by the
         next exchange.  Invalidates the compiled-program cache.
         """
@@ -227,7 +224,7 @@ class CDSS:
 
     def add_mappings(self, texts: Iterable[str]) -> list[SchemaMapping]:
         """Register several mappings (see :meth:`add_mapping`;
-        engine-independent, resident mode included)."""
+        engine-independent, sqlite engine included)."""
         return [self.add_mapping(text) for text in texts]
 
     # -- programs ------------------------------------------------------------
@@ -259,12 +256,12 @@ class CDSS:
     def insert_local(self, relation: str, row: Sequence[object]) -> bool:
         """Queue a local insertion into *relation*'s contribution table.
 
-        Works in every mode.  In store-resident mode the row lives in
+        Works on both engines.  On the sqlite engine the row lives in
         the Python instance (local contributions are the one thing the
         instance keeps) until the next exchange ships it to the
         authoritative store; until then it is invisible to graph
-        queries, exactly as it would be absent from a non-resident
-        system's graph.
+        queries, exactly as it is absent from a memory-engine system's
+        graph.
 
         Float NaNs in *row* are canonicalized to the system's single
         NaN object (:data:`~repro.storage.encoding.CANONICAL_NAN`), so
@@ -303,56 +300,49 @@ class CDSS:
         semi-naive evaluation with only the pending local insertions,
         so unchanged derivations are not re-fired.
 
-        ``engine`` selects the evaluation substrate: ``"memory"`` (the
-        default of a system that is not store-resident) runs
-        compiled join plans over in-memory hash indexes; ``"sqlite"``
-        runs whole delta batches as set-oriented SQL statements
-        (:mod:`repro.exchange.sql_executor`) — the out-of-core mode.
-        ``storage`` (sqlite engine only) names the
-        :class:`~repro.exchange.sql_executor.ExchangeStore` to use, or
-        a filesystem path for instances larger than memory; by default
-        the CDSS owns one in-memory store, reused across incremental
-        calls.  Both engines share the compiled-program cache
-        (:attr:`plan_cache`): repeated exchanges over an unchanged
-        program compile zero plans (``plans_compiled == 0``).
+        ``engine`` selects where the exchanged instance lives, for the
+        system's whole life: ``"memory"`` (the default of a fresh
+        system) runs compiled join plans over in-memory hash indexes
+        and keeps the instance and provenance graph in Python;
+        ``"sqlite"`` runs whole delta batches as set-oriented SQL
+        statements (:mod:`repro.exchange.sql_executor`) inside an
+        :class:`~repro.exchange.sql_executor.ExchangeStore`, which is
+        the *authoritative* instance.  ``storage`` (sqlite engine only)
+        names that store — an object, a filesystem path for instances
+        larger than memory, or None for a ``:memory:`` store.  Both
+        engines share the compiled-program cache (:attr:`plan_cache`):
+        repeated exchanges over an unchanged program compile zero plans
+        (``plans_compiled == 0``).  ``resident`` selects nothing: None
+        follows ``engine``, and a value contradicting it raises
+        :class:`ExchangeError`.
 
-        **Sync protocol** (sqlite engine): the store mirrors the
-        instance incrementally.  Each relation carries a change journal
-        (:meth:`~repro.relational.instance.Instance.change_mark`), and
-        the store keeps a per-relation high-water mark: rows appended
-        since the mark ship as batched INSERTs, a relation that saw a
-        deletion reloads in full, and an unchanged relation ships
-        nothing.  The result reports the traffic as
-        ``rows_mirrored``/``relations_synced`` — a repeat exchange over
-        unchanged relations reports ``rows_mirrored == 0``.
-
-        **Resident mode** (``resident=True``, sqlite engine with
-        on-disk ``storage=`` only): the
-        on-disk store is the *authoritative* instance.  Derived tuples
-        and provenance derivations are never materialized in Python —
-        the instance holds only local contributions, so working sets
-        may exceed memory.  The mode is sticky: once a system has
-        exchanged residently it must keep doing so — a later call
-        that leaves ``engine``/``storage``/``resident`` unspecified
-        (plain ``exchange()``) continues on the pinned store, while an
-        explicit conflicting value (``resident=False``, another engine,
-        a different store) raises :class:`ExchangeError` — and
-        :meth:`instance_size` counts store rows.  The full paper
-        lifecycle stays available relationally: :meth:`delete_local`
-        marks victims in SQL, :meth:`propagate_deletions` runs the
-        DERIVABILITY test as an iterative SQL fixpoint over the stored
-        firing history, and the graph queries (:meth:`lineage`,
-        :meth:`derivability`, :meth:`trusted`) are answered by
-        recursive joins over that same history
-        (:mod:`repro.exchange.graph_queries`).  Every successful
-        resident run also maintains the store's reachability index
-        (under an ``index.maintain`` span): a full run replaces it, an
-        incremental run over a *current* index extends it with just the
-        new firings, and any other combination rebuilds it from the
-        stored history — so the next graph query starts from a current
-        index (``docs/graph-index.md``).  A run that dies mid-flight
-        leaves the index marked stale; nothing is lost, the next graph
-        query or run rebuilds it.
+        **The sqlite engine.** Derived tuples and provenance
+        derivations are never materialized in Python — the instance
+        holds only local contributions, so working sets may exceed
+        memory.  Each exchange ships the local rows appended since the
+        store's high-water mark (``rows_mirrored``/``relations_synced``;
+        a repeat exchange over unchanged relations reports
+        ``rows_mirrored == 0``).  The store is pinned by the first
+        exchange: a later call that leaves ``engine``/``storage``
+        unspecified continues on it, another engine or another store
+        raises :class:`ExchangeError`, and so does a memory-engine
+        system asking for the sqlite engine — and :meth:`instance_size`
+        counts store rows.  A closed on-disk store is reopened by
+        naming its path.  The full paper lifecycle runs relationally:
+        :meth:`delete_local` marks victims in SQL,
+        :meth:`propagate_deletions` runs the DERIVABILITY test as an
+        iterative SQL fixpoint over the stored firing history, and the
+        graph queries (:meth:`lineage`, :meth:`derivability`,
+        :meth:`trusted`) are answered by joins over that same history
+        (:mod:`repro.exchange.graph_queries`).  Every successful run
+        also maintains the store's reachability index (under an
+        ``index.maintain`` span): a full run replaces it, an incremental
+        run over a *current* index extends it with just the new
+        firings, and any other combination rebuilds it from the stored
+        history — so the next graph query starts from a current index
+        (``docs/graph-index.md``).  A run that dies mid-flight leaves
+        the index marked stale; nothing is lost, the next graph query
+        or run rebuilds it.
 
         **Pre-flight** (``validate=``): ``"warn"`` or ``"error"`` runs
         the static analyzer (:func:`repro.analysis.analyze`) over the
@@ -369,30 +359,30 @@ class CDSS:
         accumulate in :attr:`metrics`.
         """
         started = time.perf_counter()
-        # Unspecified arguments follow the mode the system is pinned to.
+        # An unspecified engine follows the one the system is pinned to.
         if engine is None:
-            engine = "sqlite" if self._resident else "memory"
-        if resident is None:
-            resident = self._resident
+            engine = "sqlite" if self.resident else "memory"
+        on_store = engine == "sqlite"
         with self.tracer.span("exchange") as span:
-            span.set("engine", engine).set("resident", resident)
+            span.set("engine", engine).set("resident", on_store)
             if validate != "off":
                 with self.tracer.span("exchange.validate") as vspan:
                     vspan.set("mode", validate)
                     self._validate_program(validate)
-            if resident and engine != "sqlite":
+            if resident is not None and resident != on_store:
                 raise ExchangeError(
-                    'resident=True requires engine="sqlite"; only the store '
-                    "can hold the authoritative instance"
+                    f"resident={resident} contradicts engine={engine!r}: "
+                    'the sqlite engine always keeps the authoritative '
+                    "instance in its store, the memory engine never does"
                 )
-            if self._exchanged_once and resident != self._resident:
+            if on_store != self.resident and (
+                self._exchanged_once or self.resident
+            ):
                 raise ExchangeError(
-                    "cannot switch store-resident mode mid-life: the "
-                    f"{'store' if self._resident else 'Python instance'} "
+                    "cannot switch engines mid-life: the "
+                    f"{'store' if self.resident else 'Python instance'} "
                     "already holds the derived tuples; build a fresh CDSS"
                 )
-            if self._resident and self._exchanged_once:
-                self._check_resident_store(storage)
             with self.tracer.span("exchange.compile") as cspan:
                 rules = self.program()
                 program, cache_hit = self.plan_cache.fetch(rules)
@@ -421,21 +411,12 @@ class CDSS:
                 from repro.exchange.sql_executor import SQLiteExchangeEngine
 
                 store = self._resolve_store(storage)
-                if resident and store.path == ":memory:":
-                    raise ExchangeError(
-                        "store-resident exchange requires an on-disk store "
-                        "(pass storage=<path>): an in-memory store would be "
-                        "the only copy of the derived instance with neither "
-                        "durability nor out-of-core capacity"
-                    )
                 result = SQLiteExchangeEngine(store, tracer=self.tracer).run(
                     program,
                     self.catalog,
                     self.mappings,
                     self.instance,
-                    graph=self.graph,
                     initial_delta=initial_delta,
-                    resident=resident,
                 )
             else:
                 raise ExchangeError(
@@ -451,7 +432,6 @@ class CDSS:
         self.last_exchange = result
         self._pending.clear()
         self._exchanged_once = True
-        self._resident = resident
         return result
 
     def _validate_program(self, mode: str) -> None:
@@ -475,91 +455,47 @@ class CDSS:
                 f"exchange pre-flight:\n{report}", stacklevel=3
             )
 
-    def _check_resident_store(
-        self, storage: "ExchangeStore | str | os.PathLike | None"
-    ) -> None:
-        """A resident system's store holds the only copy of the derived
-        tuples, so ``storage=`` must keep resolving to that same store —
-        switching (or silently adopting a fresh empty store after the
-        pinned one was closed) would abandon the authoritative
-        instance.  A *closed on-disk* store may be reopened by naming
-        its original path; its file still holds the data."""
-        from repro.exchange.sql_executor import ExchangeStore, normalize_store_path
-
-        store = self.exchange_store
-        if store is None or store.closed:
-            # Reopening the same on-disk file is fine — the data lives
-            # in the file, not the connection.  Anything else has no
-            # source to recover the derived instance from.
-            if (
-                store is not None
-                and storage is not None
-                and not isinstance(storage, ExchangeStore)
-                and normalize_store_path(storage) == store.path
-                and store.path != ":memory:"
-                # The file must still be there — reopening a deleted
-                # path would hand back a fresh empty database.
-                and os.path.exists(store.path)
-            ):
-                return
-            raise ExchangeError(
-                "the resident store is closed and it held the only "
-                "copy of the derived instance; reopen it by passing "
-                "its original on-disk path as storage=, or build a "
-                "fresh CDSS"
-            )
-        if storage is None:
-            return
-        same = (
-            storage is store
-            if isinstance(storage, ExchangeStore)
-            else normalize_store_path(storage) == store.path
-        )
-        if not same:
-            raise ExchangeError(
-                "store-resident exchange is pinned to its store "
-                f"({store.path!r}): it holds the only copy of the "
-                "derived instance, so storage= cannot name a different "
-                "store; build a fresh CDSS to start over"
-            )
-
     def _resolve_store(
         self, storage: "ExchangeStore | str | os.PathLike | None"
     ) -> "ExchangeStore":
-        """The ``storage=`` hook: an explicit store, a path, or the
-        CDSS-owned default (kept for incremental reuse).
-
-        Stores this CDSS created itself are closed when a different
-        store replaces them; caller-provided stores are never closed
-        here (the caller owns their lifecycle).
-        """
+        """The ``storage=`` hook: pin the store on the first exchange
+        (an explicit store, a path, or ``:memory:`` by default), then
+        keep resolving to it — it holds the only copy of the derived
+        tuples.  A *closed on-disk* store is reopened when its path is
+        named and its file still exists."""
         from repro.exchange.sql_executor import ExchangeStore, normalize_store_path
 
-        def adopt(store: "ExchangeStore", owned: bool) -> "ExchangeStore":
+        store = self.exchange_store
+        if store is None:
+            if not isinstance(storage, ExchangeStore):
+                storage = ExchangeStore(":memory:" if storage is None else storage)
+            self.exchange_store = storage
+            return storage
+        if storage is not None and (
+            storage is not store
+            if isinstance(storage, ExchangeStore)
+            else normalize_store_path(storage) != store.path
+        ):
+            raise ExchangeError(
+                f"this system is pinned to its store ({store.path!r}): it "
+                "holds the only copy of the derived instance, so storage= "
+                "cannot name a different store; build a fresh CDSS to "
+                "start over"
+            )
+        if store.closed:
             if (
-                self._owns_store
-                and self.exchange_store is not None
-                and self.exchange_store is not store
+                isinstance(storage, (str, os.PathLike))
+                and store.path != ":memory:"
+                and os.path.exists(store.path)
             ):
-                self.exchange_store.close()
-            self.exchange_store = store
-            self._owns_store = owned
-            return store
-
-        if isinstance(storage, ExchangeStore):
-            return adopt(storage, owned=False)
-        if storage is not None:
-            path = normalize_store_path(storage)
-            if (
-                self.exchange_store is not None
-                and not self.exchange_store.closed
-                and self.exchange_store.path == path
-            ):
-                return self.exchange_store
-            return adopt(ExchangeStore(path), owned=True)
-        if self.exchange_store is None or self.exchange_store.closed:
-            return adopt(ExchangeStore(), owned=True)
-        return self.exchange_store
+                store = self.exchange_store = ExchangeStore(store.path)
+                return store
+            raise ExchangeError(
+                "the store is closed and it held the only copy of the "
+                "derived instance; reopen it by passing its original "
+                "on-disk path as storage=, or build a fresh CDSS"
+            )
+        return store
 
     # -- deletion propagation (Q5) --------------------------------------------
 
@@ -567,7 +503,7 @@ class CDSS:
         """Delete a local contribution (no propagation until
         :meth:`propagate_deletions`).
 
-        In store-resident mode the victim is additionally marked in
+        On the sqlite engine the victim is additionally marked in
         SQL: the row is removed from the authoritative store's
         local-contribution table (with the sync high-water mark
         fast-forwarded when possible, so the deletion does not force a
@@ -589,7 +525,7 @@ class CDSS:
             raise SchemaError(f"unknown relation {relation}")
         target = relation if is_local_name(relation) else local_name(relation)
         row = canonical_row(row)
-        if self._resident:
+        if self.resident:
             return self._resident_delete(target, row)
         self._pending.get(target, set()).discard(row)
         return self.instance.delete(target, row)
@@ -614,7 +550,7 @@ class CDSS:
         self, relation: str, rows: Iterable[Sequence[object]]
     ) -> int:
         """Delete a batch of local contributions (see
-        :meth:`delete_local`; in store-resident mode each victim is
+        :meth:`delete_local`; on the sqlite engine each victim is
         marked in SQL, and the call raises if the resident store is
         closed)."""
         return sum(self.delete_local(relation, row) for row in rows)
@@ -629,13 +565,12 @@ class CDSS:
         two engines share this semantics
         (:func:`~repro.provenance.annotate.derivability_partition`)
         over different substrates — the in-memory provenance graph, or,
-        in store-resident mode, an iterative SQL fixpoint over the
+        on the sqlite engine, an iterative SQL fixpoint over the
         ``P_m`` firing history that never materializes anything in
-        Python.  Dead ``P_m`` rows are garbage-collected alongside (for
-        a non-resident system with a SQLite mirror too), so the stored
-        firing history tracks the surviving derivations.
+        Python.  Dead ``P_m`` rows are garbage-collected alongside, so
+        the stored firing history tracks the surviving derivations.
 
-        In resident mode a *current* reachability index survives the
+        On the sqlite engine a *current* reachability index survives the
         sweep: the kill transaction prunes exactly the dead firings
         from the index (the fixpoint already computed the live set),
         whatever the size of the dead cone, so the next graph query
@@ -649,7 +584,7 @@ class CDSS:
         """
         started = time.perf_counter()
         with self.tracer.span("deletion") as span:
-            if self._resident:
+            if self.resident:
                 result = self._propagate_deletions_resident()
             else:
                 result = self._propagate_deletions_graph()
@@ -662,7 +597,7 @@ class CDSS:
         return result.rows_deleted
 
     def _propagate_deletions_graph(self) -> EvaluationResult:
-        """Graph-path propagation (non-resident systems)."""
+        """Graph-path propagation (memory-engine systems)."""
         with self.tracer.span("deletion.annotate"):
             dead_tuples, dead_derivations = derivability_partition(
                 self.graph,
@@ -681,12 +616,6 @@ class CDSS:
         result.pm_rows_collected = sum(
             len(rows) for rows in collected.values()
         )
-        store = self.exchange_store
-        if store is not None and not store.closed:
-            # Keep a non-resident mirror's firing history honest too:
-            # drop the P_m rows whose every supporting firing died.
-            for name, rows in collected.items():
-                store.delete_provenance_rows(self.mappings[name], rows)
         return result
 
     def _collected_provenance_rows(
@@ -748,8 +677,7 @@ class CDSS:
             raise ExchangeError(
                 f"{operation} needs the resident store (it holds the "
                 "only copy of the derived relations), but the store is "
-                "closed; reopen it via exchange(storage=<path>, "
-                "resident=True)"
+                "closed; reopen it via exchange(storage=<path>)"
             )
         return store
 
@@ -757,7 +685,7 @@ class CDSS:
 
     def _store_graph_queries(self, operation: str) -> "StoreGraphQueries":
         """The relational query engine over the pinned resident store
-        (every graph query dispatches here under ``resident=True``)."""
+        (every graph query of a sqlite-engine system dispatches here)."""
         from repro.exchange.graph_queries import StoreGraphQueries
 
         store = self._open_resident_store(operation)
@@ -784,7 +712,7 @@ class CDSS:
         started = time.perf_counter()
         with self.tracer.span("graph_query") as span:
             span.set("query", query)
-            if self._resident:
+            if self.resident:
                 value, stats = resident_call(
                     self._store_graph_queries(operation)
                 )
@@ -806,7 +734,7 @@ class CDSS:
     def derivability(self) -> dict[TupleNode, bool]:
         """Derivability annotation of every tuple (Q5).
 
-        **Resident mode**: answered relationally — the stored firing
+        **sqlite engine**: answered relationally — the stored firing
         history is annotated by the same SQL liveness fixpoint that
         drives :meth:`propagate_deletions`, with every stored tuple's
         verdict read off its membership in the live set; no
@@ -818,8 +746,8 @@ class CDSS:
         tables, with repeat calls answered from the per-epoch cache
         (``index_hit == 1`` on the stats); a stale index is
         rebuilt once at query time (``index_miss == 1``), after which
-        it stays current until the next mutation.  Non-resident systems
-        annotate the in-memory graph.  Both engines answer over the
+        it stays current until the next mutation.  Memory-engine
+        systems annotate the in-memory graph.  Both engines answer over the
         state of the last exchange/propagation.
         """
         return self._run_graph_query(  # type: ignore[return-value]
@@ -832,7 +760,7 @@ class CDSS:
     def lineage(self, node: TupleNode) -> frozenset:
         """Set of local base tuples *node* derives from (Q6).
 
-        **Resident mode**: answered relationally — an iterative
+        **sqlite engine**: answered relationally — an iterative
         backward transitive-closure walk over the stored firing
         history's join columns
         (:meth:`repro.exchange.graph_queries.StoreGraphQueries.lineage`);
@@ -842,7 +770,7 @@ class CDSS:
         reachability index with one ancestor-closure probe — one
         recursive CTE over the integer edge set — reported as
         ``index_hit == 1`` on the stats; a stale index is rebuilt once
-        at query time first (``index_miss == 1``).  Non-resident
+        at query time first (``index_miss == 1``).  Memory-engine
         systems annotate *node*'s ancestor closure of the in-memory
         graph in the LINEAGE semiring.  Both raise :class:`KeyError`
         for a node the last exchange never derived.
@@ -875,7 +803,7 @@ class CDSS:
     def trusted(self, policy: TrustPolicy) -> dict[TupleNode, bool]:
         """Trust annotation of every tuple under *policy* (Q7).
 
-        **Resident mode**: answered relationally — the policy is
+        **sqlite engine**: answered relationally — the policy is
         pushed into the liveness fixpoint semiring-style (leaf
         conditions select which local rows seed the live set,
         distrusted mappings are excluded from the firing joins), so
@@ -887,7 +815,7 @@ class CDSS:
         distrusted mappings, the same condition objects) answer from
         the per-epoch cache (``index_hit == 1`` on the
         stats); a stale index is rebuilt once at query time
-        (``index_miss == 1``).  Non-resident systems annotate the
+        (``index_miss == 1``).  Memory-engine systems annotate the
         in-memory graph in the TRUST semiring.
         """
         if isinstance(policy, TrustPolicy):
@@ -908,15 +836,14 @@ class CDSS:
 
     def _serving_path(self, operation: str) -> str:
         """The on-disk path read-only serving connections attach to."""
-        if not self._resident:
-            raise ExchangeError(
-                f"{operation} needs a store-resident system "
-                "(exchange(resident=True) on an on-disk path); a "
-                "mirrored store may be rebuilt mid-query and is not "
-                "safe to serve from"
-            )
         store = self.exchange_store
-        if store is None or store.path == ":memory:":
+        if store is None:
+            raise ExchangeError(
+                f"{operation} needs a sqlite-engine system "
+                '(exchange(engine="sqlite") on an on-disk path); a '
+                "memory-engine system has no store to serve from"
+            )
+        if store.path == ":memory:":
             raise ExchangeError(
                 f"{operation} needs an on-disk resident store; an "
                 "in-memory store is private to the writer's connection"
@@ -935,7 +862,7 @@ class CDSS:
         shares this system's :attr:`metrics` registry and tracer; for
         many concurrent clients use :meth:`serve`, which hands out one
         session per worker instead.  Requires a completed
-        ``exchange(resident=True)`` on an on-disk path; close the
+        ``exchange(engine="sqlite")`` on an on-disk path; close the
         session when done (it is a context manager).
         """
         from repro.serve import ReaderSession
@@ -1003,9 +930,9 @@ class CDSS:
         graph; ``engine="sqlite"`` runs the SQL pipeline (unfold +
         joins) over *storage* — an already-loaded
         :class:`~repro.storage.sqlite_backend.SQLiteStorage` — or over
-        a temporary one mirrored from this system when omitted.
+        a temporary one loaded from this system when omitted.
 
-        A store-resident system keeps no Python graph, so it answers
+        A sqlite-engine system keeps no Python graph, so it answers
         ``engine="sqlite"`` only, over its pinned store itself: nothing
         is copied, and a *storage* bound to any other store raises
         :class:`~repro.errors.ExchangeError`, as :meth:`exchange` does.
@@ -1037,10 +964,10 @@ class CDSS:
                     f"query pre-flight:\n{report}", stacklevel=2
                 )
         if engine == "memory":
-            if self._resident:
+            if self.resident:
                 raise ExchangeError(
                     'engine="memory" needs the provenance graph, which '
-                    "a store-resident system does not keep in Python; "
+                    "a sqlite-engine system does not keep in Python; "
                     'use engine="sqlite", which reads the store'
                 )
             from repro.proql.graph_engine import GraphEngine
@@ -1059,8 +986,9 @@ class CDSS:
             storage = SQLiteStorage(self)
             storage.load()
         assert isinstance(storage, SQLiteStorage)
-        if self._resident:
-            self._check_resident_store(storage.store)
+        if self.resident:
+            # Raises unless *storage* is bound to the pinned store.
+            self._resolve_store(storage.store)
         try:
             return SQLEngine(storage).run(query)
         finally:
@@ -1072,30 +1000,28 @@ class CDSS:
     def instance_size(self, public_only: bool = True) -> int:
         """Total number of materialized tuples.
 
-        In store-resident mode derived relations live only in the
+        On the sqlite engine derived relations live only in the
         exchange store, so their rows are counted there — from the
         store's maintained count cache, never a COUNT(*) rescan —
         while local contributions still count from the Python
         instance, which may run ahead of the store by the pending
-        batch.  With the resident store closed there is nothing
-        truthful to report (the Python side is deliberately empty), so
-        the call fails loudly rather than answering ~0.
+        batch.  With the store closed there is nothing truthful to
+        report (the Python side is deliberately empty), so the call
+        fails loudly rather than answering ~0.
         """
         store = self.exchange_store
-        if self._resident and (store is None or store.closed):
+        if store is not None and store.closed:
             raise ExchangeError(
                 "instance_size needs the resident store (it holds the "
                 "only copy of the derived relations), but the store is "
-                "closed; reopen it via exchange(storage=<path>, "
-                "resident=True)"
+                "closed; reopen it via exchange(storage=<path>)"
             )
-        count_from_store = self._resident
         total = 0
         for relation in self.catalog.names():
             if public_only and is_local_name(relation):
                 continue
             if (
-                count_from_store
+                store is not None
                 and not is_local_name(relation)
                 and store.has_table(relation)
             ):
@@ -1108,7 +1034,7 @@ class CDSS:
         try:
             size: object = self.instance_size()
         except ExchangeError:
-            # Resident store closed: a diagnostic aid must not raise.
+            # Store closed: a diagnostic aid must not raise.
             size = "?"
         return (
             f"<CDSS peers={len(self.peers)} mappings={len(self.mappings)} "

@@ -25,30 +25,30 @@ component          role (paper anchor)
                    record, ``FixpointSQL``.
 ``sql_executor``   The one set-oriented semi-naive round driver: one SQL
                    statement per plan per round over delta tables, in
-                   one transaction per round; update exchange with lazy
-                   write-back of the provenance graph (Figure 1) after
-                   convergence, and relational deletion propagation.
+                   one transaction per round; update exchange into the
+                   authoritative store, and relational deletion
+                   propagation.
 ``graph_queries``  Relational graph queries over the stored firing
                    history: ``lineage``/``derivability``/``trusted``
                    answered by recursive joins over ``P_m`` (backward
                    transitive-closure walk + the deletion propagation's
                    liveness fixpoint, both on the same round driver),
-                   so store-resident mode covers the full paper
+                   so the sqlite engine covers the full paper
                    lifecycle without ever materializing a provenance
                    graph in Python.
 ================  ==========================================================
 
 Engine selection happens at the API surface:
-``CDSS.exchange(engine="memory"|"sqlite", storage=..., resident=...)``,
-where ``storage`` names an
+``CDSS.exchange(engine="memory"|"sqlite", storage=...)``, where
+``storage`` names the sqlite engine's
 :class:`~repro.exchange.sql_executor.ExchangeStore` (or a filesystem
-path for out-of-core workloads whose working set exceeds memory) and
-``resident=True`` makes that store the *authoritative* instance —
+path for out-of-core workloads whose working set exceeds memory; by
+default ``:memory:``).  That store is the *authoritative* instance —
 derived tuples and provenance stay relational, never materialized in
-Python.  The store mirror is synced incrementally from each relation's
-change journal (``rows_mirrored == 0`` over unchanged relations).
-Both engines are verified property-test-identical on instances and
-provenance graphs.
+Python; only local contributions are synced into it, incrementally
+from each relation's change journal (``rows_mirrored == 0`` over
+unchanged relations).  Both engines are verified property-test-identical
+on relations, ``P_m`` and individual derivations.
 
 Submodules that depend on :mod:`repro.cdss` are imported lazily so that
 ``repro.cdss.system`` can import the cache without a cycle.

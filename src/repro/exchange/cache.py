@@ -71,15 +71,15 @@ class CompiledExchangeProgram:
     #: SQLite engine so a memory-only workload never pays for it.
     sql: "FixpointSQL | None" = field(default=None, repr=False)
     #: SQL lowering of the relational DERIVABILITY test, attached
-    #: lazily by the first store-resident deletion propagation (or
+    #: lazily by the first sqlite-engine deletion propagation (or
     #: unindexed ``derivability``/``trusted`` graph query).
     derivability: "FixpointSQL | None" = field(default=None, repr=False)
     #: SQL lowering of the backward lineage walk, attached lazily by
-    #: the first unindexed store-resident ``lineage`` query.
+    #: the first unindexed sqlite-engine ``lineage`` query.
     lineage: "FixpointSQL | None" = field(default=None, repr=False)
     #: SQL lowering of the maintained reachability index
     #: (:mod:`repro.exchange.reach_index`), attached lazily by the
-    #: first store-resident exchange or indexed graph query.
+    #: first sqlite-engine exchange or indexed graph query.
     reach: "ReachSQL | None" = field(default=None, repr=False)
 
     @property

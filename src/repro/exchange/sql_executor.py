@@ -20,15 +20,13 @@ backward lineage walk.  One round, in one transaction:
    produced them (snapshot semantics).
 
 For exchange the round structure mirrors the in-memory engine exactly,
-so both engines produce identical instances and provenance graphs.
-The provenance graph is written back *lazily*: firings accumulate in
-relational form during the fixpoint and are converted to
-:class:`~repro.provenance.graph.DerivationNode` objects (and the head
-tuples inserted into the Python instance) in a single batched pass
-after convergence.
+so both engines derive identical instances and provenance graphs.  The
+store is authoritative: derived tuples stay in their relation tables
+and firings in ``P_m`` and the reachability index — nothing is written
+back into a Python instance or graph.
 
 :class:`ExchangeStore` owns the SQLite database (``:memory:`` or an
-on-disk path for out-of-core workloads), keeps one
+on-disk path), keeps one
 :class:`~repro.storage.encoding.ValueCodec` so labeled nulls intern
 consistently, registers the ``repro_skolem`` SQL function that builds
 Skolem values inside queries, and creates and empties every
@@ -40,13 +38,12 @@ from __future__ import annotations
 import os
 import sqlite3
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping as TMapping, Sequence
+from typing import Iterator, Mapping as TMapping, Sequence
 
 from repro.cdss.mapping import SchemaMapping
 from repro.datalog.evaluation import EvaluationResult
-from repro.datalog.planner import ground_extractors
 from repro.datalog.terms import SkolemValue
-from repro.errors import EvaluationError, ExchangeError
+from repro.errors import EvaluationError, ExchangeError, StorageError
 from repro.exchange.cache import CompiledExchangeProgram
 from repro.exchange.index_reads import PreparedSQL
 from repro.exchange.reach_index import ReachabilityIndex, lower_reach_program
@@ -56,15 +53,12 @@ from repro.exchange.sql_plans import (
     Fixpoint,
     FixpointRule,
     FixpointSQL,
-    _slot_types,
-    body_extractors,
     lower_derivability_program,
     lower_program,
-    slot_column,
 )
 from repro.obs.sqlite_hook import StatementTrace, statement_fingerprint
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.provenance.graph import DerivationNode, ProvenanceGraph, TupleNode
+from repro.provenance.graph import ProvenanceGraph
 from repro.relational.instance import Catalog, ChangeMark, Instance, Row
 from repro.relational.schema import RelationSchema, is_local_name
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
@@ -75,6 +69,22 @@ from repro.storage.encoding import ValueCodec, quote_identifier as _q
 #: timeout only matters for rare shm/recovery contention; bounded
 #: exponential-backoff retries on top of it live in repro.serve.retry.
 BUSY_TIMEOUT_MS = 5_000
+
+#: layout version of a store file, persisted in ``__meta`` as
+#: ``store_format``.  A file carrying another number is refused on
+#: open; there is no migration code.
+STORE_FORMAT = 1
+
+
+def check_store_format(value: object, path: str) -> None:
+    """Refuse a store whose ``__meta`` ``store_format`` is not
+    :data:`STORE_FORMAT` (None — a file that predates the stamp — is
+    the current layout)."""
+    if value is not None and value != STORE_FORMAT:
+        raise StorageError(
+            f"{path} has store format {value!r}; this version reads "
+            f"format {STORE_FORMAT} only"
+        )
 
 
 def normalize_store_path(path: "str | os.PathLike[str]") -> str:
@@ -109,33 +119,31 @@ def _skolem_function(codec: ValueCodec):
 
 
 class ExchangeStore:
-    """SQLite database mirroring a CDSS instance for SQL exchange.
+    """The SQLite database holding a CDSS's relational encoding.
 
-    ``path=":memory:"`` keeps everything in RAM; any other path puts
-    the working set on disk, which is the out-of-core mode (instances
-    larger than memory join fine — SQLite pages them).  The store is
-    reusable across incremental :meth:`CDSS.exchange` calls and is a
-    context manager.
+    A sqlite-engine system's store is *authoritative*: its relation
+    tables hold the derived instance and its ``P_m`` tables and
+    reachability index the firing history — on disk, or in RAM with
+    ``path=":memory:"``.  Only local contributions reach it from
+    Python, through :meth:`sync_instance`, which reads each relation's
+    change journal and ships only what moved since this store's
+    high-water mark, so a repeat exchange over unchanged relations
+    transfers zero rows.  The same method fills a store from a
+    memory-engine system's instance for ProQL
+    (:class:`~repro.storage.sqlite_backend.SQLiteStorage`).
 
-    The mirror is maintained *incrementally*: :meth:`sync_instance`
-    reads each relation's change journal and ships only what moved
-    since this store's high-water mark (see the method docstring), so
-    a repeat exchange over unchanged relations transfers zero rows.
-    In store-resident exchange the mirror is not a mirror at all but
-    the authoritative instance — only local-contribution relations
-    are ever synced *into* it.
-
-    Dedicate a store to one CDSS for its lifetime: ``P_m`` provenance
-    rows accumulate across incremental calls (they mirror the growing
-    provenance graph), so pointing a second system at the same store
-    would leave the first system's rows behind.  ``P_m`` is the
-    *firing history*; deletion propagation keeps it honest: the
+    Dedicate a store to one CDSS for its lifetime: ``P_m`` rows
+    accumulate across incremental calls, so pointing a second system at
+    the same store would leave the first system's rows behind.  ``P_m``
+    is the *firing history*; deletion propagation keeps it honest: the
     relational DERIVABILITY fixpoint
     (:meth:`SQLiteExchangeEngine.propagate_deletions`) garbage-collects
-    the rows whose firing lost a supporting antecedent, and the
-    graph-path propagation of a non-resident system reconciles the
-    store's ``P_m`` via :meth:`delete_provenance_rows` — so the firing
-    history no longer retains derivations the graph collected.
+    the rows whose firing lost a supporting antecedent.
+
+    The file's layout version, :data:`STORE_FORMAT`, is stamped into
+    ``__meta`` on first open; a file with another number is refused
+    with :class:`~repro.errors.StorageError`.  The store is a context
+    manager.
     """
 
     def __init__(self, path: str = ":memory:"):
@@ -182,20 +190,25 @@ class ExchangeStore:
             'CREATE TABLE IF NOT EXISTS "__meta" (key TEXT PRIMARY KEY, value)'
         )
         self.connection.commit()
-        row = self.connection.execute(
-            "SELECT value FROM \"__meta\" WHERE key = 'dirty_run'"
-        ).fetchone()
-        self._dirty_run = bool(row and row[0])
+        store_format = self.meta_get("store_format")
+        try:
+            check_store_format(store_format, self.path)
+        except StorageError:
+            self.connection.close()
+            raise
+        if store_format is None:
+            self.meta_set("store_format", STORE_FORMAT)
+        self._dirty_run = bool(self.meta_get("dirty_run"))
 
     def ensure_durable(self) -> None:
-        """Trade write speed for crash safety before a resident run.
+        """Trade write speed for crash safety before an exchange run.
 
-        A mirror keeps the fast defaults (``synchronous = OFF``,
-        in-memory rollback journal): a crash can only cost a rebuild
-        from the Python instance.  A *resident* store is the only copy
-        of the derived data, so an on-disk one is switched to WAL with
-        ``synchronous = NORMAL`` — a killed process can then never
-        corrupt the file, and WAL's append ordering guarantees the
+        A fresh store keeps the fast defaults (``synchronous = OFF``,
+        in-memory rollback journal), which suffice for a store ProQL
+        loads from a memory-engine system.  An exchange store is the
+        only copy of the derived data, so an on-disk one is switched to
+        WAL with ``synchronous = NORMAL`` — a killed process can then
+        never corrupt the file, and WAL's append ordering guarantees the
         dirty-run flag (committed before any fixpoint round) reaches
         disk no later than the rounds it covers.  In-memory stores die
         with the process regardless; they keep the fast settings.
@@ -431,10 +444,12 @@ class ExchangeStore:
         reloaded in full.  Unchanged relations cost one mark
         comparison and zero SQL.
 
-        With ``resident=True`` only local-contribution relations are
-        mirrored from the instance: the store itself is the
-        authoritative home of every derived relation, so the mirror
-        must never be overwritten from the (empty) Python side.
+        With ``resident=True`` (every exchange run) only
+        local-contribution relations are mirrored from the instance:
+        the store itself is the authoritative home of every derived
+        relation, so it must never be overwritten from the (empty)
+        Python side.  ``resident=False`` copies a memory-engine
+        system's whole instance.
 
         Returns ``(rows_mirrored, relations_synced)``.
         """
@@ -486,23 +501,13 @@ class ExchangeStore:
         self._row_counts.update(new_counts)
         return rows_mirrored, relations_synced
 
-    def mark_synced(self, instance: Instance) -> None:
-        """Fast-forward every high-water mark to *instance*'s current
-        journal position without shipping rows — called by the engine
-        after write-back, when the mirror already holds exactly the
-        rows it just inserted into the instance."""
-        if self._mirrored is not instance:  # pragma: no cover - defensive
-            return
-        for schema in instance.catalog:
-            self._marks[schema.name] = instance.change_mark(schema.name)
-
     def invalidate_sync(self) -> None:
-        """Forget all high-water marks (and cached row counts): the
-        next sync reloads every relation in full.  Called when a run
-        aborts mid-flight and the mirror may have drifted from the
-        instance."""
-        self._marks.clear()
-        self._mirrored = None
+        """Forget the cached row counts: the next :meth:`cached_count`
+        of each relation rescans it.  Called when a run aborts: rounds
+        that committed before the abort added rows that
+        :meth:`note_rows_added` never counted.  The high-water marks
+        stay — a sync commits with its marks, so they still describe
+        the store."""
         self._row_counts.clear()
 
     def cached_count(self, relation: str) -> int:
@@ -578,25 +583,8 @@ class ExchangeStore:
             self.note_rows_removed(schema.name, len(rowids))
         return bool(rowids)
 
-    def delete_provenance_rows(
-        self, mapping: SchemaMapping, rows: Iterable[Row]
-    ) -> None:
-        """Garbage-collect specific ``P_m`` rows (the graph-path
-        propagation reconciling a non-resident mirror)."""
-        schema = mapping.provenance_schema()
-        if not self.has_table(schema.name):
-            return
-        condition = " AND ".join(
-            f"{_q(c)} IS ?" for c in schema.attribute_names
-        )
-        with self.connection:
-            self.connection.executemany(
-                f"DELETE FROM {_q(schema.name)} WHERE {condition}",
-                [self.codec.encode_row(row) for row in rows],
-            )
-
     def relation_rows(self, schema: RelationSchema) -> set[Row]:
-        """Decode the mirror's extension of one relation (tests and
+        """Decode the store's extension of one relation (tests and
         resident-mode readers).  Works on a store reopened by path:
         labeled nulls are rebuilt from their self-describing
         encodings."""
@@ -820,130 +808,96 @@ class SQLiteExchangeEngine:
         catalog: Catalog,
         mappings: TMapping[str, SchemaMapping],
         instance: Instance,
-        graph: ProvenanceGraph | None = None,
         initial_delta: TMapping[str, set[Row]] | None = None,
         max_iterations: int | None = None,
-        resident: bool = False,
     ) -> EvaluationResult:
-        """Semi-naive SQL fixpoint; mutates *instance* and *graph*.
+        """Semi-naive SQL fixpoint over the store.
 
         Semantics match :func:`repro.datalog.evaluation.evaluate` with
         the same ``initial_delta`` contract: ``None`` seeds a full
-        exchange from the whole instance, a mapping of per-relation row
+        exchange from the whole store, a mapping of per-relation row
         sets seeds an incremental one (rows must already be inserted).
 
-        With ``resident=True`` the store is the authoritative home of
-        every derived relation: the run still converges inside SQLite,
-        but skips the write-back entirely — neither derived tuples nor
-        provenance derivations are materialized in Python (firings and
-        ``P_m`` rows stay relational), so the working set never has to
-        fit in memory.
+        The store is the authoritative home of every derived relation:
+        *instance* contributes only its local-contribution relations,
+        and neither derived tuples nor provenance derivations are
+        materialized in Python (firings and ``P_m`` rows stay
+        relational), so the working set never has to fit in memory.
         """
-        if graph is None:
-            graph = ProvenanceGraph()
         if program.sql is None:
             program.sql = lower_program(
                 program.compiled, catalog, mappings, self.store.codec
             )
         sql = program.sql
-        if resident:
-            self.store.ensure_durable()
+        self.store.ensure_durable()
         self.store.ensure_schema(catalog, mappings, sql, program.fingerprint)
         self.store.reset_work_tables(catalog, sql)
-        if resident and self.store.dirty_run:
-            # A previous resident run aborted after committing some
-            # rounds.  Those orphan rows are sound (each committed
-            # round derives only valid tuples) but their downstream
-            # consequences may be missing, and an incremental delta
-            # would dedup them away before re-deriving anything — so
-            # re-seed from the full store extension, which converges to
-            # the complete fixpoint regardless of what partially
-            # committed.  (Non-resident runs heal differently: the full
-            # mirror reload after invalidate_sync deletes the orphans.)
+        if self.store.dirty_run:
+            # A previous run aborted after committing some rounds.
+            # Those orphan rows are sound (each committed round derives
+            # only valid tuples) but their downstream consequences may
+            # be missing, and an incremental delta would dedup them
+            # away before re-deriving anything — so re-seed from the
+            # full store extension, which converges to the complete
+            # fixpoint regardless of what partially committed.
             initial_delta = None
-        was_current = False
-        if resident:
-            # Only resident runs consume the flag (non-resident aborts
-            # heal via the full mirror reload), so only they pay the
-            # two persisted writes.
-            self.store.dirty_run = True
-            # Resident runs maintain the reachability index: note
-            # whether it matched the store *before* this run mutates
-            # anything, then persist the stale mark — a crash anywhere
-            # below leaves the index correctly marked for a query-time
-            # rebuild.
-            if program.reach is None:
-                program.reach = lower_reach_program(
-                    program.compiled, catalog, self.store.codec
-                )
-            index = self.store.reach_index
-            index.ensure_schema(program.reach)
-            was_current = index.current
-            index.mark_stale()
-        elif self.store.meta_get("index_state") is not None:
-            # A non-resident run mutates relations without maintaining
-            # the index (mirror stores normally have none; this guards
-            # a store that once ran resident).
-            self.store.reach_index.mark_stale()
+        self.store.dirty_run = True
+        # Every run maintains the reachability index: note whether it
+        # matched the store *before* this run mutates anything, then
+        # persist the stale mark — a crash anywhere below leaves the
+        # index correctly marked for a query-time rebuild.
+        if program.reach is None:
+            program.reach = lower_reach_program(
+                program.compiled, catalog, self.store.codec
+            )
+        index = self.store.reach_index
+        index.ensure_schema(program.reach)
+        was_current = index.current
+        index.mark_stale()
         try:
             with StatementTrace(
                 self.store.connection, self.tracer
             ) as stmt_trace:
                 result = self._run_synced(
-                    program, catalog, sql, instance, graph,
-                    initial_delta, max_iterations, resident, stmt_trace,
+                    sql, instance, initial_delta, max_iterations, stmt_trace
                 )
         except BaseException:
-            # The mirror may hold rows the aborted run never wrote back
-            # to the instance; force a full reload on the next sync.
-            # dirty_run stays set for the resident-mode recovery above.
+            # Committed rounds added rows the count cache never saw.
+            # dirty_run stays set for the recovery above.
             self.store.invalidate_sync()
             raise
-        if resident:
-            self.store.reach_index.on_run_complete(
-                program.reach,
-                full_log=initial_delta is None,
-                was_current=was_current,
-                tracer=self.tracer,
-            )
-            self.store.dirty_run = False
+        index.on_run_complete(
+            program.reach,
+            full_log=initial_delta is None,
+            was_current=was_current,
+            tracer=self.tracer,
+        )
+        self.store.dirty_run = False
         return result
 
     def _run_synced(
         self,
-        program: CompiledExchangeProgram,
-        catalog: Catalog,
         sql: FixpointSQL,
         instance: Instance,
-        graph: ProvenanceGraph,
         initial_delta: TMapping[str, set[Row]] | None,
         max_iterations: int | None,
-        resident: bool,
         stmt_trace: StatementTrace,
     ) -> EvaluationResult:
         tracer = self.tracer
-        result = EvaluationResult(instance, graph, engine="sqlite")
+        result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
         with tracer.span("exchange.mirror") as mspan:
             result.rows_mirrored, result.relations_synced = (
-                self.store.sync_instance(instance, resident=resident)
+                self.store.sync_instance(instance, resident=True)
             )
             mspan.set("rows", result.rows_mirrored).set(
                 "relations", result.relations_synced
             )
-        # After the sync the mirror equals the instance, so sizes come
-        # from the Python side for free; only in resident mode — where
-        # derived relations live in the store alone — must they come
-        # from the store (its count cache, not a rescan).
-        if resident:
-            rel_counts = {
-                relation: self.store.cached_count(relation)
-                for relation in sql.relations
-            }
-        else:
-            rel_counts = {
-                relation: instance.size(relation)
-                for relation in sql.relations
-            }
+        # Derived relations live in the store alone, so their sizes
+        # come from its count cache, never a rescan.
+        rel_counts = {
+            relation: self.store.cached_count(relation)
+            for relation in sql.relations
+        }
         result.iterations, result.firings, added = run_fixpoint(
             self.store,
             sql,
@@ -955,20 +909,7 @@ class SQLiteExchangeEngine:
         stmt_trace.add_rows(result.firings)
         for relation, count in added.items():
             self.store.note_rows_added(relation, count)
-        if resident:
-            # The store already holds every derived row; nothing is
-            # materialized back into Python.
-            result.inserted = sum(added.values())
-        else:
-            with tracer.span("exchange.writeback") as wspan:
-                result.inserted = self._write_back(
-                    program, catalog, sql, instance, graph
-                )
-                wspan.set("inserted", result.inserted)
-            # Write-back journaled the derived rows as appends, but the
-            # mirror already has them — fast-forward instead of
-            # reshipping on the next sync.
-            self.store.mark_synced(instance)
+        result.inserted = sum(added.values())
         return result
 
     def propagate_deletions(
@@ -1105,46 +1046,3 @@ class SQLiteExchangeEngine:
                         [store.codec.encode_row(r) for r in sorted(rows, key=repr)],
                     )
         return counts
-
-    def _write_back(
-        self,
-        program: CompiledExchangeProgram,
-        catalog: Catalog,
-        sql: FixpointSQL,
-        instance: Instance,
-        graph: ProvenanceGraph,
-    ) -> int:
-        """Batched conversion of this run's firings into instance rows
-        and provenance derivations (the lazy graph view)."""
-        conn = self.store.connection
-        codec = self.store.codec
-        inserted = 0
-        for rule, crule in zip(sql.rules, program.compiled):
-            slot_types = _slot_types(crule, catalog)
-            body = body_extractors(crule)
-            select = ", ".join(
-                _q(slot_column(s)) for s in range(rule.num_slots)
-            )
-            cursor = conn.execute(
-                f"SELECT {select or 'rowid'} FROM {_q(rule.fired)} "
-                "ORDER BY rowid"
-            )
-            for raw in cursor:
-                slots = [
-                    codec.decode(value, type_)
-                    for value, type_ in zip(raw, slot_types)
-                ]
-                sources = tuple(
-                    TupleNode(relation, ground_extractors(extractors, slots))
-                    for relation, extractors in body
-                )
-                targets = []
-                for relation, extractors in crule.head:
-                    row = ground_extractors(extractors, slots)
-                    if instance.insert(relation, row):
-                        inserted += 1
-                    targets.append(TupleNode(relation, row))
-                graph.add_derivation(
-                    DerivationNode(rule.name, sources, tuple(targets))
-                )
-        return inserted

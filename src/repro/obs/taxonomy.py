@@ -25,7 +25,6 @@ SPANS: dict[str, str] = {
     "exchange.rule": "One compiled plan over one delta, memory engine (attrs: rule).",
     "exchange.statement": "One SQL statement of a round, sqlite engine (attrs: rule, phase, fingerprint).",
     "exchange.publish": "Head-insert + provenance publication of a sqlite round.",
-    "exchange.writeback": "Store-to-Python materialization after sqlite convergence.",
     "exchange.sqlite": "sqlite statement-hook rollup for one run (attrs: statements, fingerprints).",
     # -- deletion propagation ----------------------------------------------
     "deletion": "One CDSS.propagate_deletions call (attrs: engine).",

@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Term, Variable
 from repro.proql.ast import PathExpr
+from repro.relational.schema import local_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.proql.schema_graph import SchemaGraph
@@ -69,7 +70,10 @@ class PruningOracle:
     def _fixpoint(
         graph: "SchemaGraph", has_local_data: Callable[[str], bool]
     ) -> frozenset[str]:
-        productive = {r for r in graph.relations if has_local_data(r)}
+        with_data = {r for r in graph.relations if has_local_data(r)}
+        # A relation's local-contribution table is productive with it:
+        # the L_R step reaches it from R.
+        productive = with_data | {local_name(r) for r in with_data}
         # Worklist over mappings whose sources just became productive.
         changed = True
         while changed:
@@ -119,14 +123,11 @@ class PatternViability:
     mapping restrictions from ``<m`` steps and WHERE constraints, the
     same callback the unfolder's pattern mode uses.
 
-    ``local_edges=True`` additionally models the local-contribution
-    derivation ``R → R_l``: the graph engine counts it as one backward
-    step, so a pattern whose **last** step has no mapping restriction
-    (or names the ``L_R`` rule) and whose final spec names no relation
-    can always finish at a leaf.  The unfolder keeps the default
-    (mapping-only) semantics — its pattern mode never traverses local
-    edges — while the RA501 static check opts in to stay conservative
-    with respect to the graph engine.
+    Local contributions count too: the graph engine steps from ``R``
+    to ``R_l`` through the ``L_R`` derivation, and so does the
+    unfolder.  ``R_l`` has no incoming edge, so that step can only be
+    the **last** one, with a final spec that names no relation or
+    names ``R_l``.
     """
 
     def __init__(
@@ -134,12 +135,10 @@ class PatternViability:
         graph: "SchemaGraph",
         path: PathExpr,
         get_allowed: Callable[..., set[str] | None] | None = None,
-        local_edges: bool = False,
     ) -> None:
         self.graph = graph
         self.path = path
         self._final = len(path.steps)
-        self.local_edges = local_edges
         self._viable = self._compute(get_allowed or (lambda step: None))
 
     def _step_mappings(
@@ -165,16 +164,17 @@ class PatternViability:
         viable: set[tuple[int, str]] = {
             (final, relation) for relation in self.graph.relations
         }
-        if self.local_edges and final > 0 and specs[final].relation is None:
+        if final > 0:
             # The last step may consume the R -> R_l local-contribution
-            # edge and finish at the leaf (leaves derive nothing, so
-            # this only works on the final step with an unnamed spec).
+            # edge and finish at the leaf.
             from repro.cdss.system import local_rule_name
 
             last = steps[final - 1]
             allowed = get_allowed(last)
             for relation in self.graph.relations:
                 name = local_rule_name(relation)
+                if specs[final].relation not in (None, local_name(relation)):
+                    continue
                 if last.mapping is not None and last.mapping != name:
                     continue
                 if allowed is not None and name not in allowed:
@@ -220,8 +220,9 @@ class PatternViability:
         return frozenset(viable)
 
     def viable(self, state: int, relation: str) -> bool:
-        """Can the pattern suffix from *state* still be consumed?"""
-        return (state, relation) in self._viable
+        """Can the pattern suffix from *state* still be consumed?  (The
+        final state always can, at any relation — leaves included.)"""
+        return state == self._final or (state, relation) in self._viable
 
     def start_viable(self, relation: str) -> bool:
         """Can the whole pattern match starting at *relation*?"""

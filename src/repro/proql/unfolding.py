@@ -49,7 +49,7 @@ from repro.proql.pruning import (
     UnfoldCache,
 )
 from repro.proql.schema_graph import SchemaGraph
-from repro.relational.schema import local_name
+from repro.relational.schema import is_local_name, local_name
 
 
 class _StageClock:
@@ -571,12 +571,21 @@ class Unfolder:
                 out.append(unfolded)
         return out
 
-    def _stop_local(self, rule: UnfoldedRule, index: int) -> UnfoldedRule:
+    def _stop_local(
+        self, rule: UnfoldedRule, index: int, states: frozenset = frozenset()
+    ) -> UnfoldedRule:
+        """Step the atom at *index* to its local contribution through
+        ``L_R``.  With pattern *states* the ``R_l`` atom stays open, so
+        the pattern can end there; without, it is a finished leaf."""
         item = rule.items[index]
         relation = item.atom.relation
         local_atom = Atom(local_name(relation), item.atom.terms)
         items = list(rule.items)
-        items[index] = BodyItem(local_atom, KIND_LOCAL)
+        items[index] = (
+            BodyItem(local_atom, KIND_OPEN, states=states)
+            if states
+            else BodyItem(local_atom, KIND_LOCAL)
+        )
         spec = DerivSpec(
             local_rule_name(relation),
             (item.atom,),
@@ -811,43 +820,56 @@ class Unfolder:
                     )
                 )
         # Continue options: one derivation step through each candidate
-        # mapping, continuing the pattern through one source atom.
+        # mapping — or the L_R step into the local contribution —
+        # continuing the pattern through one source atom.
         active = [p for p in item.states if p < final]
         if not active:
             return out
+        relation = item.atom.relation
+
+        def usable_for(name: str) -> list[int]:
+            """The active states whose step may traverse *name*."""
+            return [
+                p
+                for p in active
+                if steps[p].mapping in (None, name)
+                and (
+                    (allowed := get_allowed(steps[p])) is None
+                    or name in allowed
+                )
+            ]
+
+        def step_states(usable: list[int], source: str) -> frozenset:
+            """NFA states after stepping backward into *source*."""
+            states = self._transition(usable, steps, path.specs, source)
+            if viability is not None:
+                # Drop NFA states that can no longer reach a final
+                # state from this relation over the schema graph.
+                states = frozenset(
+                    q for q in states if viability.viable(q, source)
+                )
+            return states
+
+        if not is_local_name(relation) and self.has_local_data(relation):
+            local_states = step_states(
+                usable_for(local_rule_name(relation)), local_name(relation)
+            )
+            if local_states:
+                out.append(self._stop_local(rule, index, local_states))
         names = (
-            oracle.useful_mappings(item.atom.relation)
+            oracle.useful_mappings(relation)
             if oracle is not None
-            else self.graph.mappings_into(item.atom.relation)
+            else self.graph.mappings_into(relation)
         )
         for name in names:
             if name in item.visited:
                 continue
             mapping = self.cdss.mappings[name]
-            # Which pattern states allow traversing this mapping?
-            usable = []
-            for p in active:
-                allowed = get_allowed(steps[p])
-                named = steps[p].mapping
-                if named is not None and named != name:
-                    continue
-                if allowed is not None and name not in allowed:
-                    continue
-                usable.append(p)
+            usable = usable_for(name)
             if not usable:
                 continue
             for source_index, source_atom in enumerate(mapping.body):
-                new_states = self._transition(
-                    usable, steps, path.specs, source_atom.relation
-                )
-                if viability is not None:
-                    # Drop NFA states that can no longer reach a final
-                    # state from this relation over the schema graph.
-                    new_states = frozenset(
-                        q
-                        for q in new_states
-                        if viability.viable(q, source_atom.relation)
-                    )
+                new_states = step_states(usable, source_atom.relation)
                 if not new_states:
                     continue
                 out.extend(

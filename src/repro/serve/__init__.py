@@ -1,6 +1,6 @@
 """Concurrent serving tier: one writer, many read-only snapshots.
 
-The resident-mode store (``CDSS.exchange(resident=True)`` on an
+The sqlite engine's store (``CDSS.exchange(engine="sqlite")`` on an
 on-disk path) is WAL-journaled and carries a persisted reachability
 index, so any number of *read-only* connections can answer provenance
 queries while the single writer keeps exchanging.  This package is

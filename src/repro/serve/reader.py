@@ -49,7 +49,10 @@ from repro.exchange.index_reads import (
     IndexReadCore,
     PreparedSQL,
 )
-from repro.exchange.sql_executor import normalize_store_path
+from repro.exchange.sql_executor import (
+    check_store_format,
+    normalize_store_path,
+)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.provenance.graph import TupleNode
@@ -80,6 +83,7 @@ _META_SQL = (
     'SELECT key, value FROM "__meta" WHERE key IN '
     "('index_state', 'index_epoch', 'dirty_run')"
 )
+_FORMAT_SQL = "SELECT value FROM \"__meta\" WHERE key = 'store_format'"
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,7 @@ class ReaderSession:
         self.last_read: ReadStats | None = None
         self.closed = False
         self._conn: sqlite3.Connection | None = None
+        self._format_checked = False
         self._prepared = PreparedSQL()
         self._core = IndexReadCore(catalog, ValueCodec(), self._prepared)
 
@@ -216,6 +221,12 @@ class ReaderSession:
                     "(missing __meta table)"
                 ) from error
             raise
+        if not self._format_checked:
+            # The layout version belongs to the file, so one check per
+            # connection keeps it off the per-read path.
+            (stored,) = conn.execute(_FORMAT_SQL).fetchone() or (None,)
+            check_store_format(stored, self.path)
+            self._format_checked = True
         return SnapshotState(
             state=str(meta.get("index_state") or ""),
             epoch=int(meta.get("index_epoch") or 0),

@@ -13,7 +13,7 @@ provenance atom for one.
 
 :class:`SQLiteStorage` binds a CDSS to one such store:
 
-* a store-resident system is bound to its pinned store — the
+* a sqlite-engine system is bound to its pinned store — the
   authoritative instance itself, so nothing is copied and
   :meth:`~SQLiteStorage.load` has nothing to do;
 * any other system gets a store of its own, which
@@ -50,14 +50,14 @@ class SQLiteStorage:
             store = cdss.exchange_store
             if store is None or store.closed:
                 raise ExchangeError(
-                    "ProQL over a store-resident system needs its store "
+                    "ProQL over a sqlite-engine system needs its store "
                     "(it holds the only copy of the derived relations), "
                     "but the store is closed; reopen it via "
-                    "exchange(storage=<path>, resident=True)"
+                    "exchange(storage=<path>)"
                 )
             if path != ":memory:" and normalize_store_path(path) != store.path:
                 raise ExchangeError(
-                    "a store-resident system is pinned to its store "
+                    "a sqlite-engine system is pinned to its store "
                     f"({store.path!r}); ProQL cannot read another one"
                 )
             self.store = store

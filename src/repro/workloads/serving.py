@@ -263,7 +263,6 @@ def _run_soak(
         base_size=config.base_size,
         engine="sqlite",
         exchange_path=path,
-        resident=True,
         trace=trace,
     )
     store = cdss.exchange_store
@@ -388,7 +387,7 @@ def _run_soak(
             for entry in entries:
                 cdss.insert_local(f"{top}_R1", entry.first_row())
                 cdss.insert_local(f"{top}_R2", entry.second_row())
-            cdss.exchange(engine="sqlite", storage=path, resident=True)
+            cdss.exchange(engine="sqlite", storage=path)
             record_oracle()
             if cycle > 0:
                 victim = _cycle_entries(config, cycle - 1)[0]

@@ -46,14 +46,15 @@ class TopologySpec:
     seed: int = 0
     #: (source peer, target peer) per mapping, in mapping order
     edges: tuple[tuple[int, int], ...] = field(default=())
-    #: update-exchange engine ("memory" | "sqlite")
+    #: update-exchange engine ("memory" | "sqlite"); the sqlite
+    #: engine's store is the authoritative instance
     engine: str = "memory"
     #: sqlite-engine store path (None = in-memory; a filesystem path
     #: makes the exchange working set disk-resident / out-of-core)
     exchange_path: str | None = None
-    #: store-resident exchange: the store is the authoritative
-    #: instance; derived tuples are never materialized in Python
-    resident: bool = False
+    #: selects nothing: None follows ``engine``, and a value that
+    #: contradicts it raises (see ``CDSS.exchange``)
+    resident: bool | None = None
     #: static-analysis pre-flight mode passed to ``CDSS.exchange``
     #: ("off" | "warn" | "error")
     validate: str = "off"
@@ -167,7 +168,7 @@ def chain(
     seed: int = 0,
     engine: str = "memory",
     exchange_path: str | None = None,
-    resident: bool = False,
+    resident: bool | None = None,
     validate: str = "off",
     trace: object | None = None,
 ) -> CDSS:
@@ -199,7 +200,7 @@ def branched(
     seed: int = 0,
     engine: str = "memory",
     exchange_path: str | None = None,
-    resident: bool = False,
+    resident: bool | None = None,
     validate: str = "off",
     trace: object | None = None,
 ) -> CDSS:

@@ -19,6 +19,8 @@ from repro.cdss import CDSS, Peer, TrustPolicy
 from repro.relational import RelationSchema
 from repro.workloads.topologies import TopologySpec, build_system, build_topology
 
+from store_state import assert_store_matches
+
 KINDS = st.sampled_from(["chain", "branched"])
 
 
@@ -73,8 +75,7 @@ def test_validated_exchange_terminates_and_engines_agree(
             validate="error",
         )
     )
-    assert memory.instance == sqlite.instance
-    assert memory.graph.tuples == sqlite.graph.tuples
+    assert_store_matches(memory, sqlite)
 
 
 # -- injected defects fire the expected code, never a traceback ------------

@@ -16,6 +16,8 @@ from repro.relational.schema import local_name
 from repro.semirings import get_semiring
 from repro.workloads.topologies import branched_edges, chain_edges
 
+from store_state import assert_store_matches
+
 PROGRAM = parse_program(
     """
     L_R: R(x, y) :- R_l(x, y)
@@ -197,8 +199,9 @@ def _insert_local_rows(cdss: CDSS, num_peers, rows):
 def test_sqlite_engine_matches_memory_engine(
     kind, num_peers, base_rows, extra_rows
 ):
-    """The set-oriented SQLite engine and the in-memory engine yield
-    identical instances and provenance graphs on both topology shapes,
+    """The set-oriented SQLite engine's store holds exactly the
+    in-memory engine's relations, P_m rows and derivations on both
+    topology shapes,
     for the full exchange AND the incremental (initial_delta) call —
     and the second exchange compiles 0 plans (program-cache hit) in
     both engines."""
@@ -213,10 +216,7 @@ def test_sqlite_engine_matches_memory_engine(
         assert second.plan_cache_hit
         assert second.plans_compiled == 0
         systems[engine] = system
-    memory, sqlite = systems["memory"], systems["sqlite"]
-    assert memory.instance == sqlite.instance
-    assert memory.graph.tuples == sqlite.graph.tuples
-    assert memory.graph.derivations == sqlite.graph.derivations
+    assert_store_matches(systems["memory"], systems["sqlite"])
 
 
 @settings(max_examples=15, deadline=None)
@@ -273,10 +273,9 @@ def test_engines_agree_after_deletions_with_incremental_sync(
     kind, num_peers, base_rows, extra_rows, drop
 ):
     """Full exchange, delete_local + propagate_deletions, then an
-    incremental exchange: both engines end with identical instances and
-    provenance graphs, and the SQLite mirror — synced incrementally,
-    with full reloads only where deletions struck — decodes back to
-    exactly the instance."""
+    incremental exchange: the SQLite store — its local relations
+    synced incrementally — ends with exactly the memory engine's
+    relations, P_m rows and derivations."""
     victims = base_rows[: drop % (len(base_rows) + 1)]
     systems = {}
     for engine in ("memory", "sqlite"):
@@ -292,15 +291,7 @@ def test_engines_agree_after_deletions_with_incremental_sync(
         second = system.exchange(engine=engine)
         assert second.plan_cache_hit
         systems[engine] = system
-    memory, sqlite = systems["memory"], systems["sqlite"]
-    assert memory.instance == sqlite.instance
-    assert memory.graph.tuples == sqlite.graph.tuples
-    assert memory.graph.derivations == sqlite.graph.derivations
-    store = sqlite.exchange_store
-    for schema in sqlite.catalog:
-        assert store.relation_rows(schema) == set(
-            sqlite.instance[schema.name]
-        ), schema.name
+    assert_store_matches(systems["memory"], systems["sqlite"])
 
 
 @settings(max_examples=10, deadline=None)
@@ -322,8 +313,6 @@ def test_resident_sql_deletion_matches_graph_engine(
     relations into the store."""
     import tempfile
     from pathlib import Path
-
-    from repro.storage import provenance_rows
 
     victims = base_rows[: drop % (len(base_rows) + 1)]
 
@@ -364,19 +353,7 @@ def test_resident_sql_deletion_matches_graph_engine(
             resident.last_deletion.pm_rows_collected
             == memory.last_deletion.pm_rows_collected
         )
-        store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                memory.instance[schema.name]
-            ), schema.name
-        from test_exchange_sql import stored_pm_rows
-
-        for name, mapping in resident.mappings.items():
-            if mapping.is_superfluous or not mapping.provenance_columns:
-                continue
-            assert stored_pm_rows(store, mapping) == set(
-                provenance_rows(memory.mappings[name], memory.graph)
-            ), name
+        assert_store_matches(memory, resident)
 
         # Post-delete incremental exchange: rows_mirrored counts only
         # the appended local rows — the deletion epochs were consumed
@@ -395,10 +372,7 @@ def test_resident_sql_deletion_matches_graph_engine(
             len(rows) for rows in appended.values()
         )
         assert result.relations_synced == len(appended)
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                memory.instance[schema.name]
-            ), schema.name
+        assert_store_matches(memory, resident)
 
 
 @settings(max_examples=10, deadline=None)

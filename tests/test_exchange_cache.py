@@ -153,10 +153,12 @@ class TestCDSSIntegration:
         assert not result.plan_cache_hit
 
     def test_engines_share_cache(self):
-        system = _cdss()
-        system.exchange(engine="memory")
-        system.insert_local("R", (5, 6))
-        result = system.exchange(engine="sqlite")
+        # One compiled program serves both engines: a sqlite-engine
+        # system sharing a memory-engine twin's cache compiles nothing.
+        memory, sqlite = _cdss(), _cdss()
+        sqlite.plan_cache = memory.plan_cache
+        memory.exchange(engine="memory")
+        result = sqlite.exchange(engine="sqlite")
         assert result.plan_cache_hit
         assert result.plans_compiled == 0
 

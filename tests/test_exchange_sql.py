@@ -1,9 +1,10 @@
 """Tests for the SQL-backed update-exchange engine.
 
-The acceptance bar: ``engine="sqlite"`` must produce instances and
-provenance graphs *identical* to ``engine="memory"`` — on the paper's
-running example (cyclic and acyclic), with labeled nulls, across
-incremental calls, and out-of-core (on-disk store).
+The acceptance bar: the store of an ``engine="sqlite"`` system must
+hold relations, ``P_m`` rows and derivations *identical* to an
+``engine="memory"`` twin's instance and provenance graph — on the
+paper's running example (cyclic and acyclic), with labeled nulls,
+across incremental calls, on disk and in ``:memory:``.
 """
 
 import contextlib
@@ -14,8 +15,14 @@ from repro.cdss import CDSS, Peer
 from repro.errors import ExchangeError
 from repro.exchange.sql_executor import ExchangeStore, SQLiteExchangeEngine
 from repro.relational import RelationSchema
-from repro.storage import provenance_rows
 from repro.storage.encoding import quote_identifier
+
+from store_state import (
+    assert_store_matches,
+    graph_fires,
+    stored_fires,
+    stored_pm_rows,
+)
 
 # The running example (Example 2.1 / Figure 1), self-contained so this
 # module imports identically from the repo root and from tests/.
@@ -26,6 +33,14 @@ EXAMPLE_MAPPINGS = [
     "m4: O(n, h, true) :- A(i, n, h)",
     "m5: O(n, h, true) :- A(i, _, h), C(i, n)",
 ]
+
+#: the two places a sqlite-engine store lives: a file, or RAM.
+STORES = ("disk", ":memory:")
+
+
+def store_path(tmp_path, store, name="resident.db"):
+    """The ``storage=`` argument for one of :data:`STORES`."""
+    return str(tmp_path / name) if store == "disk" else store
 
 
 def example_peers() -> list[Peer]:
@@ -82,26 +97,6 @@ def insert_example_data(system: CDSS) -> None:
     system.insert_local("C", (2, "cn2"))
 
 
-def assert_same_state(memory: CDSS, sqlite: CDSS) -> None:
-    assert memory.instance == sqlite.instance
-    assert memory.graph.tuples == sqlite.graph.tuples
-    assert memory.graph.derivations == sqlite.graph.derivations
-
-
-def stored_pm_rows(store, mapping):
-    """Decode a store's ``P_<mapping>`` extension into value rows (the
-    shape :func:`repro.storage.provenance_rows` yields from a graph)."""
-    return {
-        tuple(
-            store.codec.decode(value, column.type)
-            for value, column in zip(row, mapping.provenance_columns)
-        )
-        for row in store.connection.execute(
-            f"SELECT * FROM {quote_identifier(f'P_{mapping.name}')}"
-        )
-    }
-
-
 class TestEngineEquivalence:
     def test_running_example_cyclic(self):
         memory, sql = example_twins()
@@ -111,7 +106,7 @@ class TestEngineEquivalence:
         assert result.engine == "sqlite"
         assert result.firings == memory.last_exchange.firings
         assert result.inserted == memory.last_exchange.inserted
-        assert_same_state(memory, sql)
+        assert_store_matches(memory, sql)
 
     def test_running_example_acyclic(self):
         mappings = [m for m in EXAMPLE_MAPPINGS if not m.startswith("m3")]
@@ -119,7 +114,7 @@ class TestEngineEquivalence:
         populate_example(memory)
         insert_example_data(sql)
         sql.exchange(engine="sqlite")
-        assert_same_state(memory, sql)
+        assert_store_matches(memory, sql)
 
     def test_incremental_updates(self):
         memory, sql = example_twins()
@@ -130,7 +125,7 @@ class TestEngineEquivalence:
             system.insert_local("A", (2, "sn1", 5))
             system.insert_local("C", (2, "cn2"))
             system.exchange(engine=engine)
-        assert_same_state(memory, sql)
+        assert_store_matches(memory, sql)
 
     def test_skolem_values_join_in_sql(self):
         def build():
@@ -155,7 +150,7 @@ class TestEngineEquivalence:
         memory, sql = build(), build()
         memory.exchange()
         sql.exchange(engine="sqlite")
-        assert_same_state(memory, sql)
+        assert_store_matches(memory, sql)
         assert memory.instance.size("D") == 2
 
     def test_empty_incremental_exchange(self):
@@ -167,34 +162,30 @@ class TestEngineEquivalence:
         result = sql.exchange(engine="sqlite")  # no pending rows
         assert result.iterations == 0
         assert result.inserted == 0
-        assert_same_state(memory, sql)
+        assert_store_matches(memory, sql)
 
 
 class TestProvenanceRelations:
     def test_pm_rows_match_graph_encoding(self):
-        _, system = example_twins()
+        memory, system = example_twins()
+        populate_example(memory)
         insert_example_data(system)
         system.exchange(engine="sqlite")
-        store = system.exchange_store
-        for name, mapping in system.mappings.items():
-            if mapping.is_superfluous or not mapping.provenance_columns:
-                continue
-            expected = set(provenance_rows(mapping, system.graph))
-            assert stored_pm_rows(store, mapping) == expected, name
+        # P_m as written by SQL equals the graph encoding of the
+        # memory twin's derivations, mapping by mapping.
+        assert_store_matches(memory, system)
+        assert stored_fires(system) == graph_fires(memory.graph)
 
     def test_pm_rows_accumulate_incrementally(self):
-        _, system = example_twins()
-        system.insert_local("A", (1, "sn1", 7))
-        system.insert_local("N", (1, "cn1", False))
-        system.exchange(engine="sqlite")
-        system.insert_local("A", (2, "sn1", 5))
-        system.insert_local("C", (2, "cn2"))
-        system.exchange(engine="sqlite")
-        store = system.exchange_store
-        mapping = system.mappings["m1"]
-        assert stored_pm_rows(store, mapping) == set(
-            provenance_rows(mapping, system.graph)
-        )
+        memory, system = example_twins()
+        for target, engine in ((memory, "memory"), (system, "sqlite")):
+            target.insert_local("A", (1, "sn1", 7))
+            target.insert_local("N", (1, "cn1", False))
+            target.exchange(engine=engine)
+            target.insert_local("A", (2, "sn1", 5))
+            target.insert_local("C", (2, "cn2"))
+            target.exchange(engine=engine)
+        assert_store_matches(memory, system)
 
 
 class TestExchangeStore:
@@ -212,7 +203,7 @@ class TestExchangeStore:
         sql.exchange(engine="sqlite", storage=path)
         memory.exchange()
         assert sql.exchange_store is store
-        assert_same_state(memory, sql)
+        assert_store_matches(memory, sql)
 
     def test_store_context_manager(self):
         with ExchangeStore() as store:
@@ -233,14 +224,24 @@ class TestExchangeStore:
             system.exchange(engine="sqlite", storage=store)
             assert system.exchange_store is store
 
-    def test_replaced_owned_store_is_closed(self, tmp_path):
-        _, system = example_twins()
-        system.insert_local("A", (1, "sn1", 7))
-        system.exchange(engine="sqlite")  # CDSS-owned default store
-        owned = system.exchange_store
-        system.insert_local("A", (2, "sn2", 8))
-        system.exchange(engine="sqlite", storage=str(tmp_path / "a.db"))
-        assert owned.closed  # no connection leak
+    def test_default_store_is_pinned_in_memory(self, tmp_path):
+        memory, system = example_twins()
+        for target in (memory, system):
+            target.insert_local("A", (1, "sn1", 7))
+        memory.exchange()
+        system.exchange(engine="sqlite")
+        store = system.exchange_store
+        assert store.path == ":memory:" and system.resident
+        for target in (memory, system):
+            target.insert_local("A", (2, "sn2", 8))
+        # The in-memory store holds the only copy of the derived
+        # tuples: a later call cannot move the system to a file.
+        with pytest.raises(ExchangeError):
+            system.exchange(engine="sqlite", storage=str(tmp_path / "a.db"))
+        assert system.exchange_store is store and not store.closed
+        memory.exchange()
+        system.exchange()
+        assert_store_matches(memory, system)
 
     def test_caller_store_not_closed_on_replacement(self, tmp_path):
         _, system = example_twins()
@@ -248,15 +249,54 @@ class TestExchangeStore:
         with ExchangeStore() as caller_store:
             system.exchange(engine="sqlite", storage=caller_store)
             system.insert_local("A", (2, "sn2", 8))
-            system.exchange(engine="sqlite", storage=str(tmp_path / "b.db"))
-            # The caller's store is theirs to close.
+            with pytest.raises(ExchangeError):
+                system.exchange(
+                    engine="sqlite", storage=str(tmp_path / "b.db")
+                )
+            # The refused replacement leaves the caller's store alone.
             assert not caller_store.closed
+            assert system.exchange_store is caller_store
 
     def test_memory_engine_rejects_storage(self):
         _, system = example_twins()
         system.insert_local("A", (1, "sn1", 7))
         with pytest.raises(ExchangeError):
             system.exchange(engine="memory", storage="somewhere.db")
+
+
+class TestStoreFormat:
+    """The store stamps its layout version into ``__meta`` and both
+    openers — the writer and a read-only serving session — refuse a
+    file with another number."""
+
+    def test_fresh_store_carries_the_current_format(self, tmp_path):
+        from repro.exchange.sql_executor import STORE_FORMAT
+
+        assert STORE_FORMAT == 1
+        for path in (str(tmp_path / "fresh.db"), ":memory:"):
+            with ExchangeStore(path) as store:
+                assert store.meta_get("store_format") == 1
+
+    def test_both_openers_refuse_another_format(self, tmp_path):
+        from repro.errors import StorageError
+        from repro.serve import ReaderSession
+        from repro.provenance.graph import TupleNode
+
+        path = str(tmp_path / "resident.db")
+        _, system = example_twins()
+        insert_example_data(system)
+        system.exchange(engine="sqlite", storage=path)
+        system.exchange_store.meta_set("store_format", 2)
+        system.exchange_store.close()
+        with pytest.raises(StorageError, match=r"format 2.*format 1"):
+            ExchangeStore(path)
+        with pytest.raises(StorageError, match=r"format 2.*format 1"):
+            system.exchange(engine="sqlite", storage=path)
+        with ReaderSession(path, system.catalog) as reader:
+            with pytest.raises(StorageError, match=r"format 2.*format 1"):
+                reader.lineage(TupleNode("A", (1, "sn1", 7)))
+            with pytest.raises(StorageError):
+                reader.derivability()
 
 
 class TestLoweringLimits:
@@ -287,22 +327,13 @@ class TestLoweringLimits:
             lower_program([compiled], catalog, {}, ValueCodec())
 
 
-def assert_mirror_consistent(system: CDSS) -> None:
-    """The store's relation mirror decodes back to exactly the
-    instance's extension, relation by relation."""
-    store = system.exchange_store
-    for schema in system.catalog:
-        assert store.relation_rows(schema) == set(
-            system.instance[schema.name]
-        ), schema.name
-
-
 class TestIncrementalMirror:
-    """The sync protocol: ship only what moved since the store's
-    high-water mark, never the whole instance."""
+    """The sync protocol: ship only the local rows that moved since the
+    store's high-water mark, never the whole instance."""
 
     def test_second_exchange_over_unchanged_relations_ships_nothing(self):
-        _, system = example_twins()
+        memory, system = example_twins()
+        populate_example(memory)
         insert_example_data(system)
         first = system.exchange(engine="sqlite")
         assert first.rows_mirrored > 0
@@ -311,20 +342,22 @@ class TestIncrementalMirror:
         assert repeat.rows_mirrored == 0
         assert repeat.relations_synced == 0
         assert repeat.plans_compiled == 0
-        assert_mirror_consistent(system)
+        assert_store_matches(memory, system)
 
     def test_incremental_exchange_ships_only_the_delta(self):
-        _, system = example_twins()
+        memory, system = example_twins()
         insert_example_data(system)
         system.exchange(engine="sqlite")
-        baseline = system.instance.size()
-        system.insert_local("A", (3, "sn3", 9))
+        baseline = system.instance_size()
+        for target in (memory, system):
+            target.insert_local("A", (3, "sn3", 9))
+        populate_example(memory)
         result = system.exchange(engine="sqlite")
         # One appended local row — nowhere near a full instance reload.
         assert result.rows_mirrored == 1
         assert result.relations_synced == 1
-        assert system.instance.size() > baseline
-        assert_mirror_consistent(system)
+        assert system.instance_size() > baseline
+        assert_store_matches(memory, system)
 
     def test_memory_engine_reports_zero_mirroring(self):
         memory, _ = example_twins()
@@ -339,40 +372,30 @@ class TestIncrementalMirror:
         insert_example_data(system)
         system.exchange(engine="sqlite")
         for target in (memory, system):
+            # The pending insertion puts A_l out of step with the
+            # store, so the deletion cannot be applied to both sides
+            # in lockstep: A_l reloads in full on the next sync.
+            target.insert_local("A", (3, "sn3", 9))
             target.delete_local("A", (2, "sn1", 5))
             target.propagate_deletions()
             target.insert_local("C", (1, "cn9"))
-        system.exchange(engine="sqlite")
+        reload = system.last_deletion
+        assert reload.rows_mirrored == system.instance.size("A_l") == 2
+        assert reload.relations_synced == 1
+        result = system.exchange(engine="sqlite")
         memory.exchange()
-        assert_same_state(memory, system)
-        assert_mirror_consistent(system)
-
-    def test_mixed_engines_keep_the_mirror_current(self):
-        # Rows inserted by a memory-engine exchange are journaled and
-        # shipped by the next sqlite sync.
-        memory, system = example_twins()
-        populate_example(memory)
-        insert_example_data(system)
-        system.exchange(engine="sqlite")
-        system.insert_local("A", (3, "sn3", 9))
-        memory.insert_local("A", (3, "sn3", 9))
-        system.exchange(engine="memory")
-        memory.exchange()
-        system.insert_local("A", (4, "sn4", 2))
-        memory.insert_local("A", (4, "sn4", 2))
-        system.exchange(engine="sqlite")
-        memory.exchange()
-        assert_same_state(memory, system)
-        assert_mirror_consistent(system)
+        assert result.rows_mirrored == result.relations_synced == 1
+        assert_store_matches(memory, system)
 
     def test_on_disk_incremental_sync(self, tmp_path):
         path = str(tmp_path / "incr.db")
-        _, system = example_twins()
+        memory, system = example_twins()
+        populate_example(memory)
         insert_example_data(system)
         system.exchange(engine="sqlite", storage=path)
         repeat = system.exchange(engine="sqlite", storage=path)
         assert repeat.rows_mirrored == 0
-        assert_mirror_consistent(system)
+        assert_store_matches(memory, system)
 
     def test_aborted_run_invalidates_sync_and_self_heals(self):
         from repro.errors import EvaluationError
@@ -380,7 +403,7 @@ class TestIncrementalMirror:
         memory, system = example_twins()
         insert_example_data(system)
         program, _ = system.plan_cache.fetch(system.program())
-        store = ExchangeStore()
+        system.exchange_store = store = ExchangeStore()
         engine = SQLiteExchangeEngine(store)
         with pytest.raises(EvaluationError):
             engine.run(
@@ -388,172 +411,215 @@ class TestIncrementalMirror:
                 system.catalog,
                 system.mappings,
                 system.instance,
-                graph=system.graph,
                 max_iterations=1,
             )
-        # The aborted run left rows in the mirror that were never
-        # written back; the next run must full-reload and converge.
-        system.exchange_store = store
-        system._owns_store = True
+        # The aborted run committed its first round: derived rows the
+        # count cache never saw.  The next run must re-seed, converge
+        # and count every stored row.
+        assert store.dirty_run
         result = system.exchange(engine="sqlite")
-        assert result.rows_mirrored > 0
+        assert result.rows_mirrored == 0  # the local rows were shipped
+        assert not store.dirty_run
         populate_example(memory)
-        assert_same_state(memory, system)
-        assert_mirror_consistent(system)
+        assert_store_matches(memory, system)
+        assert system.instance_size() == memory.instance_size()
+        assert system.instance_size(public_only=False) == (
+            memory.instance_size(public_only=False)
+        )
 
 
 class TestResidentMode:
-    """Store-resident exchange: the store is the authoritative
-    instance; Python holds only local contributions."""
+    """The sqlite engine's store is the authoritative instance; Python
+    holds only local contributions.  Store-agnostic tests run once per
+    entry of :data:`STORES`."""
 
-    def build_pair(self, tmp_path):
+    def build_pair(self, tmp_path, store="disk"):
         resident, plain = example_twins()
         insert_example_data(resident)
         insert_example_data(plain)
         resident.exchange(
-            engine="sqlite",
-            storage=str(tmp_path / "resident.db"),
-            resident=True,
+            engine="sqlite", storage=store_path(tmp_path, store)
         )
-        plain.exchange(engine="sqlite")
+        plain.exchange()
         return resident, plain
 
+    def pairs(self, tmp_path):
+        """One (resident, memory twin) pair per :data:`STORES` entry."""
+        for store in STORES:
+            yield self.build_pair(tmp_path, store)
+
     def test_derived_tuples_live_only_in_the_store(self, tmp_path):
-        resident, plain = self.build_pair(tmp_path)
-        # Python side: local contributions only.
-        for schema in resident.catalog:
-            if not schema.name.endswith("_l"):
-                assert resident.instance.size(schema.name) == 0, schema.name
-        # Store side: exactly the plain twin's materialized instance.
-        store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                plain.instance[schema.name]
-            ), schema.name
-        assert len(resident.graph.tuples) == 0
+        for resident, plain in self.pairs(tmp_path):
+            # Python side: local contributions only.
+            for schema in resident.catalog:
+                if not schema.name.endswith("_l"):
+                    assert resident.instance.size(schema.name) == 0, (
+                        schema.name
+                    )
+            # Store side: exactly the twin's materialized instance.
+            assert_store_matches(plain, resident)
+            assert len(resident.graph.tuples) == 0
 
     def test_instance_size_counts_store_rows(self, tmp_path):
-        resident, plain = self.build_pair(tmp_path)
-        assert resident.instance_size() == plain.instance_size()
-        assert resident.instance_size(
-            public_only=False
-        ) == plain.instance_size(public_only=False)
+        for resident, plain in self.pairs(tmp_path):
+            assert resident.instance_size() == plain.instance_size()
+            assert resident.instance_size(
+                public_only=False
+            ) == plain.instance_size(public_only=False)
 
     def test_incremental_resident_exchange(self, tmp_path):
-        resident, plain = self.build_pair(tmp_path)
-        for system in (resident, plain):
-            system.insert_local("A", (3, "sn3", 9))
-        r = resident.exchange(engine="sqlite", resident=True)
-        plain.exchange(engine="sqlite")
-        assert r.rows_mirrored == 1
-        assert r.inserted == plain.last_exchange.inserted
-        store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                plain.instance[schema.name]
-            ), schema.name
+        for resident, plain in self.pairs(tmp_path):
+            for system in (resident, plain):
+                system.insert_local("A", (3, "sn3", 9))
+            r = resident.exchange(engine="sqlite", resident=True)
+            plain.exchange()
+            assert r.rows_mirrored == 1
+            assert r.inserted == plain.last_exchange.inserted
+            assert_store_matches(plain, resident)
 
     def test_resident_requires_sqlite_engine(self):
         _, system = example_twins()
         insert_example_data(system)
         with pytest.raises(ExchangeError):
             system.exchange(engine="memory", resident=True)
+        # resident=False contradicts the sqlite engine just as much.
+        with pytest.raises(ExchangeError):
+            system.exchange(engine="sqlite", resident=False)
+        assert system.exchange_store is None
+        system.exchange(engine="sqlite", resident=True)
+        assert system.resident
 
     def test_mode_is_sticky(self, tmp_path):
-        resident, plain = self.build_pair(tmp_path)
-        # Explicit conflicting arguments are refused...
-        with pytest.raises(ExchangeError):
-            resident.exchange(engine="sqlite", resident=False)
-        with pytest.raises(ExchangeError):
-            resident.exchange(engine="memory")
-        # ...while unspecified ones continue on the pinned store.
-        for system in (resident, plain):
-            system.insert_local("A", (3, "sn3", 9))
-        r = resident.exchange()
-        plain.exchange(engine="sqlite")
-        assert r.engine == "sqlite" and r.rows_mirrored == 1
-        assert r.inserted == plain.last_exchange.inserted
-        assert resident.exchange(engine="sqlite").rows_mirrored == 0
-        _, plain = example_twins()
-        insert_example_data(plain)
-        plain.exchange(engine="sqlite")
-        with pytest.raises(ExchangeError):
-            plain.exchange(engine="sqlite", resident=True)
+        for resident, plain in self.pairs(tmp_path):
+            # Explicit conflicting arguments are refused...
+            with pytest.raises(ExchangeError):
+                resident.exchange(engine="sqlite", resident=False)
+            with pytest.raises(ExchangeError):
+                resident.exchange(engine="memory")
+            # ...while unspecified ones continue on the pinned store.
+            for system in (resident, plain):
+                system.insert_local("A", (3, "sn3", 9))
+            r = resident.exchange()
+            plain.exchange()
+            assert r.engine == "sqlite" and r.rows_mirrored == 1
+            assert r.inserted == plain.last_exchange.inserted
+            assert resident.exchange(engine="sqlite").rows_mirrored == 0
+            # A memory-engine system cannot move to the sqlite engine.
+            with pytest.raises(ExchangeError):
+                plain.exchange(engine="sqlite")
+            with pytest.raises(ExchangeError):
+                plain.exchange(resident=True)
+            assert plain.exchange_store is None
 
     def test_deletions_require_an_open_store(self, tmp_path):
-        # Deletions are supported in resident mode, but the victim
+        # Deletions are supported on the sqlite engine, but the victim
         # marking and the SQL derivability fixpoint both need the
         # authoritative store — with it closed they must fail loudly
-        # instead of silently diverging from the on-disk instance.
-        resident, _ = self.build_pair(tmp_path)
+        # instead of silently diverging from the stored instance.
+        for resident, _ in self.pairs(tmp_path):
+            resident.exchange_store.close()
+            with pytest.raises(ExchangeError):
+                resident.delete_local("A", (2, "sn1", 5))
+            with pytest.raises(ExchangeError):
+                resident.delete_local_many("A", [(2, "sn1", 5)])
+            with pytest.raises(ExchangeError):
+                resident.propagate_deletions()
+
+    def test_closed_memory_store_refuses_every_operation(self, tmp_path):
+        # A closed :memory: store took the derived instance with it:
+        # nothing can reopen it, and nothing may answer from the empty
+        # Python side.
+        from repro.cdss.trust import TrustPolicy
+
+        resident, _ = self.build_pair(tmp_path, ":memory:")
+        resident.insert_local("A", (3, "sn3", 9))
         resident.exchange_store.close()
-        with pytest.raises(ExchangeError):
-            resident.delete_local("A", (2, "sn1", 5))
-        with pytest.raises(ExchangeError):
-            resident.delete_local_many("A", [(2, "sn1", 5)])
-        with pytest.raises(ExchangeError):
-            resident.propagate_deletions()
+        for storage in (None, ":memory:", resident.exchange_store):
+            with pytest.raises(ExchangeError):
+                resident.exchange(engine="sqlite", storage=storage)
+        calls = [
+            lambda: resident.delete_local("A", (2, "sn1", 5)),
+            resident.propagate_deletions,
+            resident.derivability,
+            lambda: resident.lineage(None),
+            lambda: resident.trusted(TrustPolicy()),
+            lambda: resident.query("FOR [O $x] RETURN $x", engine="sqlite"),
+            resident.instance_size,
+            resident.serving_session,
+        ]
+        for call in calls:
+            with pytest.raises(ExchangeError):
+                call()
+
+    def test_memory_store_is_not_servable(self, tmp_path):
+        resident, _ = self.build_pair(tmp_path, ":memory:")
+        assert resident.resident
+        with pytest.raises(ExchangeError, match="in-memory"):
+            resident.serving_session()
+        with pytest.raises(ExchangeError, match="in-memory"):
+            resident.serve()
 
     def test_graph_queries_answered_relationally(self, tmp_path):
-        # The graph is deliberately never built in resident mode;
+        # The graph is deliberately never built on the sqlite engine;
         # lineage/derivability/trusted are answered by SQL over the
         # stored firing history and must match the graph engine
         # node-for-node — while the graph stays empty.
         from repro.cdss.trust import TrustPolicy
 
-        resident, plain = self.build_pair(tmp_path)
-        assert resident.derivability() == plain.derivability()
-        for node in plain.graph.tuples:
-            assert resident.lineage(node) == plain.lineage(node), node
-        policy = TrustPolicy()
-        policy.trust_if("A", lambda values: values[2] < 6)
-        policy.distrust_mapping("m4")
-        assert resident.trusted(policy) == plain.trusted(policy)
-        assert resident.graph.size() == (0, 0)
-        stats = resident.last_graph_query
-        assert stats is not None and stats.engine == "sqlite"
-        assert plain.last_graph_query.engine == "memory"
+        for resident, plain in self.pairs(tmp_path):
+            assert resident.derivability() == plain.derivability()
+            for node in plain.graph.tuples:
+                assert resident.lineage(node) == plain.lineage(node), node
+            policy = TrustPolicy()
+            policy.trust_if("A", lambda values: values[2] < 6)
+            policy.distrust_mapping("m4")
+            assert resident.trusted(policy) == plain.trusted(policy)
+            assert resident.graph.size() == (0, 0)
+            stats = resident.last_graph_query
+            assert stats is not None and stats.engine == "sqlite"
+            assert plain.last_graph_query.engine == "memory"
 
     def test_graph_queries_need_an_open_store(self, tmp_path):
         # Relational queries consult the authoritative store; with it
         # closed they must fail loudly, not answer from nothing.
-        resident, _ = self.build_pair(tmp_path)
-        resident.exchange_store.close()
-        with pytest.raises(ExchangeError):
-            resident.derivability()
-        with pytest.raises(ExchangeError):
-            resident.lineage(None)
-        with pytest.raises(ExchangeError):
-            resident.trusted(None)
+        for resident, _ in self.pairs(tmp_path):
+            resident.exchange_store.close()
+            with pytest.raises(ExchangeError):
+                resident.derivability()
+            with pytest.raises(ExchangeError):
+                resident.lineage(None)
+            with pytest.raises(ExchangeError):
+                resident.trusted(None)
 
     def test_storage_switch_rejected(self, tmp_path):
-        # The resident store holds the only copy of the derived
-        # instance; pointing a later exchange at a different store
-        # would silently abandon it.
-        resident, _ = self.build_pair(tmp_path)
-        with pytest.raises(ExchangeError):
-            resident.exchange(
+        # The store holds the only copy of the derived instance;
+        # pointing a later exchange at a different store would silently
+        # abandon it.
+        for store in STORES:
+            resident, _ = self.build_pair(tmp_path, store)
+            with pytest.raises(ExchangeError):
+                resident.exchange(
+                    engine="sqlite",
+                    storage=str(tmp_path / "other.db"),
+                    resident=True,
+                )
+            with pytest.raises(ExchangeError):
+                resident.exchange(
+                    engine="sqlite", storage=ExchangeStore(), resident=True
+                )
+            # Re-naming the same store (by path or by object) stays legal.
+            r = resident.exchange(
                 engine="sqlite",
-                storage=str(tmp_path / "other.db"),
+                storage=store_path(tmp_path, store),
                 resident=True,
             )
-        with pytest.raises(ExchangeError):
+            assert r.rows_mirrored == 0
             resident.exchange(
-                engine="sqlite", storage=ExchangeStore(), resident=True
+                engine="sqlite", storage=resident.exchange_store, resident=True
             )
-        # Re-naming the same store (by path or by object) stays legal.
-        r = resident.exchange(
-            engine="sqlite",
-            storage=str(tmp_path / "resident.db"),
-            resident=True,
-        )
-        assert r.rows_mirrored == 0
-        resident.exchange(
-            engine="sqlite", storage=resident.exchange_store, resident=True
-        )
 
     def test_closed_store_rejected_but_reopenable_by_path(self, tmp_path):
-        # Once the pinned store is closed, a resident exchange must not
+        # Once the pinned store is closed, an exchange must not
         # silently adopt a fresh empty store (that would abandon the
         # only copy of the derived instance) — but the on-disk file
         # still holds the data, so reopening by path continues the
@@ -567,25 +633,14 @@ class TestResidentMode:
         for system in (resident, plain):
             system.insert_local("A", (3, "sn3", 9))
         r = resident.exchange(engine="sqlite", storage=path, resident=True)
-        plain.exchange(engine="sqlite")
+        plain.exchange()
         assert r.inserted == plain.last_exchange.inserted
         assert resident.instance_size() > size_before
         assert resident.instance_size() == plain.instance_size()
 
-    def test_resident_requires_on_disk_store(self):
-        # An in-memory store would be the only copy of the derived
-        # instance with neither durability nor out-of-core capacity —
-        # the dead end is rejected up front.
-        resident, _ = example_twins()
-        insert_example_data(resident)
-        with pytest.raises(ExchangeError):
-            resident.exchange(engine="sqlite", resident=True)
-        with pytest.raises(ExchangeError):
-            resident.exchange(engine="sqlite", storage=":memory:", resident=True)
-
     def test_aborted_resident_run_recovers_by_full_reseed(self, tmp_path):
-        # A resident run that aborts mid-fixpoint leaves its committed
-        # rounds in the store (they cannot be rolled back across round
+        # A run that aborts mid-fixpoint leaves its committed rounds in
+        # the store (they cannot be rolled back across round
         # transactions).  Those orphan rows are sound but incomplete —
         # and an incremental retry would dedup them out of the delta,
         # never deriving their consequences.  The dirty-run flag makes
@@ -593,32 +648,26 @@ class TestResidentMode:
         # it converges to the complete fixpoint.
         from repro.errors import EvaluationError
 
-        resident, plain = self.build_pair(tmp_path)
-        for system in (resident, plain):
-            system.insert_local("A", (3, "sn3", 9))
-        program, _ = resident.plan_cache.fetch(resident.program())
-        engine = SQLiteExchangeEngine(resident.exchange_store)
-        with pytest.raises(EvaluationError):
-            engine.run(
-                program,
-                resident.catalog,
-                resident.mappings,
-                resident.instance,
-                graph=resident.graph,
-                initial_delta={"A_l": {(3, "sn3", 9)}},
-                max_iterations=1,
-                resident=True,
-            )
-        assert resident.exchange_store.dirty_run
-        resident.exchange(engine="sqlite", resident=True)
-        plain.exchange(engine="sqlite")
-        assert not resident.exchange_store.dirty_run
-        store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                plain.instance[schema.name]
-            ), schema.name
-        assert resident.instance_size() == plain.instance_size()
+        for resident, plain in self.pairs(tmp_path):
+            for system in (resident, plain):
+                system.insert_local("A", (3, "sn3", 9))
+            program, _ = resident.plan_cache.fetch(resident.program())
+            engine = SQLiteExchangeEngine(resident.exchange_store)
+            with pytest.raises(EvaluationError):
+                engine.run(
+                    program,
+                    resident.catalog,
+                    resident.mappings,
+                    resident.instance,
+                    initial_delta={"A_l": {(3, "sn3", 9)}},
+                    max_iterations=1,
+                )
+            assert resident.exchange_store.dirty_run
+            resident.exchange(engine="sqlite", resident=True)
+            plain.exchange()
+            assert not resident.exchange_store.dirty_run
+            assert_store_matches(plain, resident)
+            assert resident.instance_size() == plain.instance_size()
 
     def test_reopen_decodes_persisted_labeled_nulls(self, tmp_path):
         # The codec caching labeled nulls dies with the store
@@ -650,22 +699,18 @@ class TestResidentMode:
 
         resident, plain = build(), build()
         resident.exchange(engine="sqlite", storage=path, resident=True)
-        plain.exchange(engine="sqlite")
+        plain.exchange()
         resident.exchange_store.close()
 
         for system in (resident, plain):
             system.insert_local("E", (1,))
         resident.exchange(engine="sqlite", storage=path, resident=True)
-        plain.exchange(engine="sqlite")
+        plain.exchange()
 
         # Reconstructed SkolemValues are value-equal to the originals
         # (frozen dataclass), so the reopened store's extension matches
-        # the plain twin exactly, nested Skolem arguments included.
-        store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                plain.instance[schema.name]
-            ), schema.name
+        # the twin exactly, nested Skolem arguments included.
+        assert_store_matches(plain, resident)
 
     def test_reopen_of_deleted_file_rejected(self, tmp_path):
         # Naming the right path is not enough — if the file is gone,
@@ -682,33 +727,17 @@ class TestResidentMode:
         with pytest.raises(ExchangeError):
             resident.exchange(engine="sqlite", storage=path, resident=True)
 
-    def test_nonresident_runs_never_persist_the_dirty_flag(self, tmp_path):
-        # Only resident runs consume dirty_run; a plain mirror exchange
-        # must not pay the two persisted writes per call.
-        _, system = example_twins()
-        insert_example_data(system)
-        system.exchange(engine="sqlite", storage=str(tmp_path / "m.db"))
-        row = system.exchange_store.connection.execute(
-            "SELECT value FROM \"__meta\" WHERE key = 'dirty_run'"
-        ).fetchone()
-        assert row is None
-
     def test_resident_store_upgrades_durability(self, tmp_path):
-        # A resident on-disk store is the only copy of the data, so it
-        # trades the mirror's fast pragmas for crash-safe WAL; a plain
-        # mirror keeps the fast settings (it can always be rebuilt).
-        resident, plain = self.build_pair(tmp_path)
-        (mode,) = resident.exchange_store.connection.execute(
-            "PRAGMA journal_mode"
-        ).fetchone()
-        assert mode == "wal"
-        mirror, _ = example_twins()
-        insert_example_data(mirror)
-        mirror.exchange(engine="sqlite", storage=str(tmp_path / "mirror.db"))
-        (mode,) = mirror.exchange_store.connection.execute(
-            "PRAGMA journal_mode"
-        ).fetchone()
-        assert mode == "memory"
+        # An on-disk store is the only copy of the data, so it trades
+        # SQLite's fast pragmas for crash-safe WAL; an in-memory store
+        # dies with the process regardless and keeps the fast settings.
+        for (resident, _), expected in zip(
+            self.pairs(tmp_path), ("wal", "memory")
+        ):
+            (mode,) = resident.exchange_store.connection.execute(
+                "PRAGMA journal_mode"
+            ).fetchone()
+            assert mode == expected
 
     def test_store_pinning_is_spelling_insensitive(self, tmp_path, monkeypatch):
         # Relative and absolute spellings of the same file are the same
@@ -742,43 +771,36 @@ class TestResidentMode:
                 resident.catalog,
                 resident.mappings,
                 resident.instance,
-                graph=resident.graph,
                 initial_delta={"A_l": {(3, "sn3", 9)}},
                 max_iterations=1,
-                resident=True,
             )
         resident.exchange_store.close()
         resident.exchange(engine="sqlite", storage=path, resident=True)
-        plain.exchange(engine="sqlite")
-        store = resident.exchange_store
-        assert not store.dirty_run
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                plain.instance[schema.name]
-            ), schema.name
+        plain.exchange()
+        assert not resident.exchange_store.dirty_run
+        assert_store_matches(plain, resident)
 
     def test_instance_size_rejects_closed_store(self, tmp_path):
-        # The Python side is deliberately empty in resident mode, so a
-        # closed store must fail loudly instead of reporting ~0.
-        resident, _ = self.build_pair(tmp_path)
-        resident.exchange_store.close()
-        with pytest.raises(ExchangeError):
-            resident.instance_size()
+        # The Python side is deliberately empty on the sqlite engine,
+        # so a closed store must fail loudly instead of reporting ~0.
+        for resident, _ in self.pairs(tmp_path):
+            resident.exchange_store.close()
+            with pytest.raises(ExchangeError):
+                resident.instance_size()
 
     def test_closed_store_rejection_names_the_operation(self, tmp_path):
-        resident, _ = self.build_pair(tmp_path)
-        resident.exchange_store.close()
-        with pytest.raises(ExchangeError, match="lineage"):
-            resident.lineage(None)
+        for resident, _ in self.pairs(tmp_path):
+            resident.exchange_store.close()
+            with pytest.raises(ExchangeError, match="lineage"):
+                resident.lineage(None)
 
     def test_resident_exchange_never_rescans_relation_tables(
         self, tmp_path, monkeypatch
     ):
         # rel_counts come from the store's count cache (maintained by
-        # sync and publish), so incremental resident exchanges must not
-        # COUNT(*) over relation tables — only over the `__`-prefixed
-        # staging tables, whose size is the per-round delta.
-        resident, plain = self.build_pair(tmp_path)
+        # sync and publish), so incremental exchanges must not COUNT(*)
+        # over relation tables — only over the `__`-prefixed staging
+        # tables, whose size is the per-round delta.
         real_count = ExchangeStore.count
 
         def staging_only(store, table):
@@ -787,12 +809,14 @@ class TestResidentMode:
             )
             return real_count(store, table)
 
-        monkeypatch.setattr(ExchangeStore, "count", staging_only)
-        for system in (resident, plain):
-            system.insert_local("A", (3, "sn3", 9))
-        r = resident.exchange(engine="sqlite", resident=True)
-        plain.exchange(engine="sqlite")
-        assert r.inserted == plain.last_exchange.inserted
+        for resident, plain in self.pairs(tmp_path):
+            with monkeypatch.context() as patch:
+                patch.setattr(ExchangeStore, "count", staging_only)
+                for system in (resident, plain):
+                    system.insert_local("A", (3, "sn3", 9))
+                r = resident.exchange(engine="sqlite", resident=True)
+                plain.exchange()
+            assert r.inserted == plain.last_exchange.inserted
 
 
 def _mini_topology(kind: str, num_peers: int) -> CDSS:
@@ -828,26 +852,29 @@ def _seed_topology(system: CDSS, num_peers: int, rows) -> None:
 
 class TestResidentDeletion:
     """Relational deletion propagation: ``delete_local`` +
-    ``propagate_deletions`` under ``resident=True`` must match the
-    memory engine's graph-based propagation tuple for tuple, garbage-
-    collect the dead P_m firing-history rows, and leave the store ready
-    for further incremental exchanges."""
+    ``propagate_deletions`` on the sqlite engine must match the memory
+    engine's graph-based propagation tuple for tuple, garbage-collect
+    the dead P_m firing-history rows, and leave the store ready for
+    further incremental exchanges — on disk and in ``:memory:``."""
 
     ROWS = [(4, 0, 10), (4, 1, 11), (3, 0, 12), (2, 5, 13)]
     VICTIMS = [(4, 0, 10), (3, 0, 12)]
 
-    def build_twins(self, kind, num_peers, tmp_path):
+    def build_twins(self, kind, num_peers, tmp_path, store="disk"):
         memory = _mini_topology(kind, num_peers)
         resident = _mini_topology(kind, num_peers)
         _seed_topology(memory, num_peers, self.ROWS)
         _seed_topology(resident, num_peers, self.ROWS)
         memory.exchange()
         resident.exchange(
-            engine="sqlite",
-            storage=str(tmp_path / f"{kind}.db"),
-            resident=True,
+            engine="sqlite", storage=store_path(tmp_path, store, f"{kind}.db")
         )
         return memory, resident
+
+    def twins(self, kind, num_peers, tmp_path):
+        """One (memory, resident) pair per :data:`STORES` entry."""
+        for store in STORES:
+            yield self.build_twins(kind, num_peers, tmp_path, store)
 
     def delete_victims(self, system, num_peers):
         for peer, k, v in self.VICTIMS:
@@ -857,57 +884,53 @@ class TestResidentDeletion:
     @pytest.mark.parametrize("kind", ["chain", "branched"])
     def test_matches_memory_engine(self, tmp_path, kind):
         num_peers = 5
-        memory, resident = self.build_twins(kind, num_peers, tmp_path)
-        size_before = resident.instance_size()
-        self.delete_victims(memory, num_peers)
-        self.delete_victims(resident, num_peers)
-        removed_memory = memory.propagate_deletions()
-        removed_resident = resident.propagate_deletions()
-        assert removed_resident == removed_memory > 0
-        stats = resident.last_deletion
-        assert stats.engine == "sqlite"
-        assert stats.rows_deleted == removed_resident
-        assert stats.pm_rows_collected > 0
-        assert (
-            stats.pm_rows_collected
-            == memory.last_deletion.pm_rows_collected
-        )
-        # Store rows shrink accordingly, relation by relation, and the
-        # maintained count cache stays truthful (no COUNT(*) drift).
-        store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                memory.instance[schema.name]
-            ), schema.name
-            assert store.cached_count(schema.name) == store.count(
-                schema.name
-            ), schema.name
-        assert resident.instance_size() < size_before
-        assert resident.instance_size() == memory.instance_size()
+        for memory, resident in self.twins(kind, num_peers, tmp_path):
+            size_before = resident.instance_size()
+            self.delete_victims(memory, num_peers)
+            self.delete_victims(resident, num_peers)
+            removed_memory = memory.propagate_deletions()
+            removed_resident = resident.propagate_deletions()
+            assert removed_resident == removed_memory > 0
+            stats = resident.last_deletion
+            assert stats.engine == "sqlite"
+            assert stats.rows_deleted == removed_resident
+            assert stats.pm_rows_collected > 0
+            assert (
+                stats.pm_rows_collected
+                == memory.last_deletion.pm_rows_collected
+            )
+            # Store rows, P_m rows and derivations shrink accordingly,
+            # and the maintained count cache stays truthful (no
+            # COUNT(*) drift).
+            assert_store_matches(memory, resident)
+            store = resident.exchange_store
+            for schema in resident.catalog:
+                assert store.cached_count(schema.name) == store.count(
+                    schema.name
+                ), schema.name
+            assert resident.instance_size() < size_before
+            assert resident.instance_size() == memory.instance_size()
 
     @pytest.mark.parametrize("kind", ["chain", "branched"])
     def test_post_delete_incremental_exchange(self, tmp_path, kind):
         num_peers = 4
-        memory, resident = self.build_twins(kind, num_peers, tmp_path)
-        self.delete_victims(memory, num_peers)
-        self.delete_victims(resident, num_peers)
-        memory.propagate_deletions()
-        resident.propagate_deletions()
-        extra = [(num_peers - 1, 9, 99)]
-        _seed_topology(memory, num_peers, extra)
-        _seed_topology(resident, num_peers, extra)
-        memory.exchange()
-        result = resident.exchange(engine="sqlite", resident=True)
-        # The victim marking fast-forwarded the sync marks, so the
-        # incremental exchange ships only the two appended local rows —
-        # deletions must not force full reloads of their relations.
-        assert result.rows_mirrored == 2
-        assert result.relations_synced == 2
-        store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                memory.instance[schema.name]
-            ), schema.name
+        for memory, resident in self.twins(kind, num_peers, tmp_path):
+            self.delete_victims(memory, num_peers)
+            self.delete_victims(resident, num_peers)
+            memory.propagate_deletions()
+            resident.propagate_deletions()
+            extra = [(num_peers - 1, 9, 99)]
+            _seed_topology(memory, num_peers, extra)
+            _seed_topology(resident, num_peers, extra)
+            memory.exchange()
+            result = resident.exchange(engine="sqlite", resident=True)
+            # The victim marking fast-forwarded the sync marks, so the
+            # incremental exchange ships only the two appended local
+            # rows — deletions must not force full reloads of their
+            # relations.
+            assert result.rows_mirrored == 2
+            assert result.relations_synced == 2
+            assert_store_matches(memory, resident)
 
     def test_cyclic_program_uses_least_fixpoint(self, tmp_path):
         # m1/m3 of the running example form a cycle (C -> N -> C):
@@ -927,10 +950,7 @@ class TestResidentDeletion:
             assert system.delete_local("C", (2, "cn2"))
         assert resident.propagate_deletions() == memory.propagate_deletions()
         store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                memory.instance[schema.name]
-            ), schema.name
+        assert_store_matches(memory, resident)
         # The cyclic pair died: neither C(2,cn2) nor its m3-companion
         # N(2,cn2,false) survives on its self-support.
         assert (2, "cn2") not in store.relation_rows(resident.catalog["C"])
@@ -942,30 +962,31 @@ class TestResidentDeletion:
         from repro.storage import provenance_rows
 
         num_peers = 4
-        memory, resident = self.build_twins("chain", num_peers, tmp_path)
-        self.delete_victims(memory, num_peers)
-        self.delete_victims(resident, num_peers)
-        memory.propagate_deletions()
-        resident.propagate_deletions()
-        store = resident.exchange_store
-        for name, mapping in resident.mappings.items():
-            if mapping.is_superfluous or not mapping.provenance_columns:
-                continue
-            assert stored_pm_rows(store, mapping) == set(
-                provenance_rows(memory.mappings[name], memory.graph)
-            ), name
+        for memory, resident in self.twins("chain", num_peers, tmp_path):
+            self.delete_victims(memory, num_peers)
+            self.delete_victims(resident, num_peers)
+            memory.propagate_deletions()
+            resident.propagate_deletions()
+            store = resident.exchange_store
+            for name, mapping in resident.mappings.items():
+                if mapping.is_superfluous or not mapping.provenance_columns:
+                    continue
+                assert stored_pm_rows(store, mapping) == set(
+                    provenance_rows(memory.mappings[name], memory.graph)
+                ), name
+            assert stored_fires(resident) == graph_fires(memory.graph)
 
     def test_propagate_without_deletions_is_a_noop(self, tmp_path):
-        _, resident = self.build_twins("chain", 4, tmp_path)
-        size = resident.instance_size()
-        assert resident.propagate_deletions() == 0
-        assert resident.last_deletion.rows_deleted == 0
-        assert resident.last_deletion.pm_rows_collected == 0
-        assert resident.instance_size() == size
+        for _, resident in self.twins("chain", 4, tmp_path):
+            size = resident.instance_size()
+            assert resident.propagate_deletions() == 0
+            assert resident.last_deletion.rows_deleted == 0
+            assert resident.last_deletion.pm_rows_collected == 0
+            assert resident.instance_size() == size
 
     def test_delete_of_absent_row_returns_false(self, tmp_path):
-        _, resident = self.build_twins("chain", 4, tmp_path)
-        assert not resident.delete_local("P2_R1", (123, 456))
+        for _, resident in self.twins("chain", 4, tmp_path):
+            assert not resident.delete_local("P2_R1", (123, 456))
 
 
 class TestDeletionStats:
@@ -984,8 +1005,9 @@ class TestDeletionStats:
         assert stats.pm_rows_collected > 0
 
     def test_nonresident_sqlite_store_pm_is_garbage_collected(self):
-        from repro.storage import provenance_rows
-
+        # A default (:memory:) sqlite store garbage-collects its firing
+        # history like an on-disk one: P_m holds exactly the memory
+        # twin's surviving derivations.
         memory, system = example_twins()
         populate_example(memory)
         insert_example_data(system)
@@ -993,16 +1015,11 @@ class TestDeletionStats:
         for target in (memory, system):
             target.delete_local("A", (2, "sn1", 5))
             target.propagate_deletions()
-        # The graph-path propagation reconciled the mirror's firing
-        # history: P_m holds exactly the surviving derivations.
-        store = system.exchange_store
-        for name, mapping in system.mappings.items():
-            if mapping.is_superfluous or not mapping.provenance_columns:
-                continue
-            assert stored_pm_rows(store, mapping) == set(
-                provenance_rows(mapping, system.graph)
-            ), name
+        assert_store_matches(memory, system)
         assert system.last_deletion.pm_rows_collected > 0
+        assert system.last_deletion.pm_rows_collected == (
+            memory.last_deletion.pm_rows_collected
+        )
 
     def test_experiment_result_threads_deletion_stats(self, tmp_path):
         from repro.workloads import chain, run_target_query
@@ -1051,10 +1068,7 @@ class TestDeletionStats:
             assert system.delete_local("A", (2,))
         assert resident.propagate_deletions() == memory.propagate_deletions()
         store = resident.exchange_store
-        for schema in resident.catalog:
-            assert store.relation_rows(schema) == set(
-                memory.instance[schema.name]
-            ), schema.name
+        assert_store_matches(memory, resident)
         assert len(store.relation_rows(resident.catalog["D"])) == 1
 
 
@@ -1072,7 +1086,7 @@ def build_resident_deletion_pair(tmp_path):
 
 class TestResidentGraphQueries:
     """Relational graph queries: ``lineage``/``derivability``/
-    ``trusted`` under ``resident=True`` must match the graph engine
+    ``trusted`` on the sqlite engine must match the graph engine
     node-for-node while never materializing a provenance graph."""
 
     def test_lineage_through_labeled_nulls(self, tmp_path):

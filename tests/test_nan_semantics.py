@@ -15,6 +15,8 @@ from repro.cdss import CDSS, Peer
 from repro.relational import RelationSchema
 from repro.storage.encoding import CANONICAL_NAN, canonical_row
 
+from store_state import assert_store_matches
+
 
 def nan_join_twins():
     """Two CDSS twins whose only derivation joins on a NaN key —
@@ -53,13 +55,11 @@ def test_nan_joins_identically_on_both_engines(tmp_path):
     memory.exchange()
     sqlite.exchange(engine="sqlite", storage=str(tmp_path / "nan.db"))
     # The NaN keys join on BOTH engines: two derived J rows.
-    for system in (memory, sqlite):
-        joined = system.instance["J"]
+    stored = sqlite.exchange_store.relation_rows(sqlite.catalog["J"])
+    for joined in (memory.instance["J"], stored):
         assert len(joined) == 2
         assert any(math.isnan(row[0]) for row in joined)
-    assert memory.instance == sqlite.instance
-    assert memory.graph.tuples == sqlite.graph.tuples
-    assert memory.graph.derivations == sqlite.graph.derivations
+    assert_store_matches(memory, sqlite)
 
 
 def test_nan_lifecycle_matches_in_resident_mode(tmp_path):
@@ -109,10 +109,9 @@ def test_repeated_variable_matches_nan_on_both_engines(tmp_path):
     memory, sqlite = twins
     memory.exchange()
     sqlite.exchange(engine="sqlite", storage=str(tmp_path / "rep.db"))
-    for system in (memory, sqlite):
-        assert len(system.instance["D"]) == 1
-    assert memory.instance == sqlite.instance
-    assert memory.graph.derivations == sqlite.graph.derivations
+    assert len(memory.instance["D"]) == 1
+    assert len(sqlite.exchange_store.relation_rows(sqlite.catalog["D"])) == 1
+    assert_store_matches(memory, sqlite)
 
 
 def test_stored_nan_decodes_to_the_canonical_object(tmp_path):

@@ -30,7 +30,7 @@ def traced_lifecycle(engine, **kwargs):
     cdss = chain(CHAIN, base_size=BASE, engine=engine, trace=tracer, **kwargs)
     cdss.derivability()
     victim_relation = f"P{CHAIN - 1}_R1"
-    victim = next(iter(cdss.instance[victim_relation]))
+    victim = min(cdss.instance[f"{victim_relation}_l"])
     cdss.delete_local(victim_relation, victim)
     cdss.propagate_deletions()
     result = run_target_query(cdss)

@@ -17,6 +17,7 @@ from test_exchange_sql import (
     insert_example_data,
 )
 from test_reach_index_properties import legacy_oracle
+from store_state import index_edges
 
 
 def o_node(memory):
@@ -29,22 +30,6 @@ def distrusting_policy():
     policy.distrust_mapping("m4")
     policy.trust_if("A", lambda values: values[0] == 1)
     return policy
-
-
-def index_edges(store):
-    """The index's hyperedges as ``{(rule, head, bodies)}`` — fids are
-    allocation order, not content, so they are left out."""
-    bodies = {}
-    for fid, body in store.connection.execute(
-        'SELECT fid, body FROM "__ridx_body"'
-    ):
-        bodies.setdefault(fid, set()).add(body)
-    return {
-        (rule, head, frozenset(bodies.get(fid, ())))
-        for fid, rule, head in store.connection.execute(
-            'SELECT fid, rule, head FROM "__ridx_fire"'
-        )
-    }
 
 
 def copy_chain_twins(length=4, rows=6):
@@ -252,23 +237,6 @@ class TestStalenessProtocol:
         )
         assert store.meta_get("index_state") == "current"
         assert store.delete_relation_row(schema, victim) is False
-
-    def test_nonresident_run_over_indexed_store_marks_stale(self, tmp_path):
-        path = str(tmp_path / "shared.db")
-        memory, resident = example_twins()
-        insert_example_data(memory)
-        insert_example_data(resident)
-        memory.exchange()
-        resident.exchange(engine="sqlite", storage=path, resident=True)
-        assert resident.exchange_store.meta_get("index_state") == "current"
-        resident.exchange_store.close()
-        # A plain sqlite run over the same store pays no maintenance —
-        # it only invalidates.
-        fresh = example_twins()[0]
-        insert_example_data(fresh)
-        fresh.exchange(engine="sqlite", storage=path)
-        with ExchangeStore(path) as reopened:
-            assert reopened.meta_get("index_state") == "stale"
 
 
 class TestEpochPersistence:

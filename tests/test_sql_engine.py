@@ -36,7 +36,14 @@ QUERIES = [
        ASSIGNING EACH mapping $p($z) { CASE $p = m4 : SET false DEFAULT : SET $z }""",
     """EVALUATE WEIGHT OF { FOR [O $x] INCLUDE PATH [$x] <-+ [] RETURN $x }
        ASSIGNING EACH leaf_node $y { DEFAULT : SET 1 }""",
+    # the L_R step into a local contribution, as a path endpoint
+    "FOR [O $x] <-+ [A_l $y] RETURN $x, $y",
+    "FOR [A $x] <- [A_l $y] RETURN $x, $y",
 ]
+
+#: rows each local-contribution endpoint query answers on the acyclic
+#: running example (both engines; the SQL engine once answered none).
+LOCAL_ENDPOINT_ROWS = {QUERIES[-2]: 4, QUERIES[-1]: 2}
 
 
 #: The same check on :func:`conftest.null_chain`, where a NULL join
@@ -86,7 +93,10 @@ def assert_same_answer(expected, actual):
 @pytest.mark.parametrize(("setting", "query"), CASES)
 def test_engines_agree(request, setting, query):
     graph_engine, sql_engine = request.getfixturevalue(setting)
-    assert_same_answer(graph_engine.run(query), sql_engine.run(query))
+    expected = graph_engine.run(query)
+    assert_same_answer(expected, sql_engine.run(query))
+    if setting == "engines" and query in LOCAL_ENDPOINT_ROWS:
+        assert len(expected.rows) == LOCAL_ENDPOINT_ROWS[query]
 
 
 class TestStats:

@@ -169,7 +169,12 @@ class TestValueCodecEdgeValues:
         for engine in ("memory", "sqlite"):
             system = build()
             system.exchange(engine=engine)
-            derived = [row[0] for row in system.instance["T"]]
+            rows = (
+                system.instance["T"]
+                if engine == "memory"
+                else system.exchange_store.relation_rows(system.catalog["T"])
+            )
+            derived = [row[0] for row in rows]
             assert None not in derived, engine
             assert sum(1 for v in derived if math.isnan(v)) == 1, engine
             assert float("inf") in derived and float("-inf") in derived
