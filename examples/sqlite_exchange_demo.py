@@ -14,9 +14,9 @@ same:
 * the store is *authoritative*: derived tuples and the `P_m` firing
   history live only in SQLite (on disk here, or `:memory:`), never in
   Python, so working sets can exceed memory; only local contributions
-  are synced into it, *incrementally* from each relation's change
-  journal — a repeat exchange over unchanged relations ships zero
-  rows (`rows_mirrored == 0`);
+  reach it, each exchange shipping exactly the pending local rows — a
+  repeat exchange with nothing pending ships zero rows
+  (`rows_mirrored == 0`);
 * deletions run in the store too: `delete_local` marks victims in SQL
   and `propagate_deletions` re-runs the paper's DERIVABILITY test as
   an iterative SQL fixpoint over the `P_m` firing history, killing
@@ -114,11 +114,11 @@ def main() -> None:
         )
         assert result.plan_cache_hit and result.plans_compiled == 0
     assert_same_relations(memory, sqlite)
-    # Only the two appended local rows crossed into the store — the
-    # rest was already there (journal high-water marks).
+    # Only the two pending local rows crossed into the store — the
+    # rest was already there.
     assert sqlite.last_exchange.rows_mirrored == 2
 
-    # A repeat exchange over unchanged relations ships nothing at all.
+    # A repeat exchange with nothing pending ships nothing at all.
     unchanged = sqlite.exchange(engine="sqlite", storage=store_path)
     print(
         f"unchanged repeat: rows_mirrored = {unchanged.rows_mirrored}, "

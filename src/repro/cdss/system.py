@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.cdss.mapping import SchemaMapping
 from repro.cdss.peer import Peer
@@ -27,7 +27,7 @@ from repro.cdss.trust import TrustPolicy
 from repro.datalog.evaluation import EvaluationResult, evaluate
 from repro.datalog.parser import parse_rule
 from repro.datalog.rules import Program, Rule
-from repro.errors import ExchangeError, SchemaError
+from repro.errors import ExchangeError, SchemaError, StorageError
 from repro.exchange.cache import ProgramCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import as_tracer
@@ -96,7 +96,16 @@ class CDSS:
         self._local_rules: dict[str, Rule] = {}
         self.instance = Instance(self.catalog)
         self.graph = ProvenanceGraph()
+        #: local rows the next exchange must process: on the sqlite
+        #: engine, exactly the local rows its store has not seen.
         self._pending: dict[str, set[Row]] = {}
+        #: sqlite engine: local rows :meth:`delete_local` removed from
+        #: the store whose leaves the memory engine's graph would still
+        #: hold — removed since the last :meth:`propagate_deletions`,
+        #: or pending again at every propagation since.  Such a row,
+        #: once inserted again, is a live leaf there although the store
+        #: lacks it.
+        self._removed_leaves: dict[str, set[Row]] = {}
         self._exchanged_once = False
         #: engine statistics of the most recent :meth:`exchange`.
         self.last_exchange: EvaluationResult | None = None
@@ -256,12 +265,11 @@ class CDSS:
     def insert_local(self, relation: str, row: Sequence[object]) -> bool:
         """Queue a local insertion into *relation*'s contribution table.
 
-        Works on both engines.  On the sqlite engine the row lives in
-        the Python instance (local contributions are the one thing the
-        instance keeps) until the next exchange ships it to the
-        authoritative store; until then it is invisible to graph
-        queries, exactly as it is absent from a memory-engine system's
-        graph.
+        Works on both engines.  The row is *pending* until the next
+        exchange.  On the sqlite engine the store does not hold it
+        until that exchange ships it, so until then it is invisible to
+        graph queries, exactly as it is absent from a memory-engine
+        system's graph.
 
         Float NaNs in *row* are canonicalized to the system's single
         NaN object (:data:`~repro.storage.encoding.CANONICAL_NAN`), so
@@ -319,15 +327,19 @@ class CDSS:
         **The sqlite engine.** Derived tuples and provenance
         derivations are never materialized in Python — the instance
         holds only local contributions, so working sets may exceed
-        memory.  Each exchange ships the local rows appended since the
-        store's high-water mark (``rows_mirrored``/``relations_synced``;
-        a repeat exchange over unchanged relations reports
-        ``rows_mirrored == 0``).  The store is pinned by the first
-        exchange: a later call that leaves ``engine``/``storage``
-        unspecified continues on it, another engine or another store
-        raises :class:`ExchangeError`, and so does a memory-engine
-        system asking for the sqlite engine — and :meth:`instance_size`
-        counts store rows.  A closed on-disk store is reopened by
+        memory.  Each exchange ships exactly the pending local rows into
+        the store (``rows_mirrored``/``relations_synced``; a repeat
+        exchange with nothing pending reports ``rows_mirrored == 0``).
+        The first exchange onto a store that already holds local rows
+        ships only the rows the store lacks; if the store holds a local
+        row this system does not have, it raises
+        :class:`~repro.errors.StorageError` naming the relation, and
+        neither the store nor the system changes.  The store is pinned
+        by the first exchange: a later call that leaves
+        ``engine``/``storage`` unspecified continues on it, another
+        engine or another store raises :class:`ExchangeError`, and so
+        does a memory-engine system asking for the sqlite engine — and
+        :meth:`instance_size` counts store rows.  A closed on-disk store is reopened by
         naming its path.  The full paper lifecycle runs relationally:
         :meth:`delete_local` marks victims in SQL,
         :meth:`propagate_deletions` runs the DERIVABILITY test as an
@@ -387,12 +399,7 @@ class CDSS:
                 rules = self.program()
                 program, cache_hit = self.plan_cache.fetch(rules)
                 cspan.set("cache_hit", cache_hit)
-            initial_delta: Mapping[str, set[Row]] | None
-            if self._exchanged_once:
-                initial_delta = dict(self._pending)
-            else:
-                initial_delta = None
-            span.set("incremental", initial_delta is not None)
+            span.set("incremental", self._exchanged_once)
             if engine == "memory":
                 if storage is not None:
                     raise ExchangeError(
@@ -403,7 +410,9 @@ class CDSS:
                     rules,
                     self.instance,
                     graph=self.graph,
-                    initial_delta=initial_delta,
+                    initial_delta=(
+                        dict(self._pending) if self._exchanged_once else None
+                    ),
                     compiled_program=program,
                     tracer=self.tracer,
                 )
@@ -416,7 +425,8 @@ class CDSS:
                     self.catalog,
                     self.mappings,
                     self.instance,
-                    initial_delta=initial_delta,
+                    self._pending,
+                    incremental=self._exchanged_once,
                 )
             else:
                 raise ExchangeError(
@@ -467,8 +477,15 @@ class CDSS:
 
         store = self.exchange_store
         if store is None:
-            if not isinstance(storage, ExchangeStore):
+            opened = not isinstance(storage, ExchangeStore)
+            if opened:
                 storage = ExchangeStore(":memory:" if storage is None else storage)
+            try:
+                self._adopt_local_rows(storage)
+            except StorageError:
+                if opened:
+                    storage.close()
+                raise
             self.exchange_store = storage
             return storage
         if storage is not None and (
@@ -497,17 +514,40 @@ class CDSS:
             )
         return store
 
+    def _adopt_local_rows(self, store: "ExchangeStore") -> None:
+        """Before the first exchange onto *store*: drop from the pending
+        set every local row the store already holds, or raise
+        :class:`StorageError` — changing nothing — when the store holds
+        a local row this system does not have."""
+        stored: dict[str, set[Row]] = {}
+        for schema in self.catalog:
+            name = schema.name
+            if not is_local_name(name) or not store.has_table(name):
+                continue
+            rows = store.relation_rows(schema)
+            foreign = next(
+                (row for row in rows if not self.instance.contains(name, row)),
+                None,
+            )
+            if foreign is not None:
+                raise StorageError(
+                    f"{store.path}: the stored {name} holds {foreign!r}, a "
+                    "local row this system does not have; insert the "
+                    "store's local rows before exchanging onto it"
+                )
+            stored[name] = rows
+        for name, rows in stored.items():
+            self._pending.get(name, set()).difference_update(rows)
+
     # -- deletion propagation (Q5) --------------------------------------------
 
     def delete_local(self, relation: str, row: Sequence[object]) -> bool:
         """Delete a local contribution (no propagation until
         :meth:`propagate_deletions`).
 
-        On the sqlite engine the victim is additionally marked in
-        SQL: the row is removed from the authoritative store's
-        local-contribution table (with the sync high-water mark
-        fast-forwarded when possible, so the deletion does not force a
-        full reload of the relation on the next exchange).  When the
+        On the sqlite engine a pending row is simply dropped; any other
+        victim is additionally marked in SQL: the row is removed from
+        the authoritative store's local-contribution table.  When the
         maintained reachability index is current, the store-side
         victim marking (one ``DELETE … RETURNING rowid``) also removes
         the victim's incident firings from the index in the same
@@ -531,19 +571,18 @@ class CDSS:
         return self.instance.delete(target, row)
 
     def _resident_delete(self, target: str, row: Row) -> bool:
-        """Victim marking in the authoritative store: mirror the local
-        deletion into the on-disk ``R_l`` table."""
+        """Victim marking in the authoritative store: delete the row
+        from its stored ``R_l`` table too, unless it is still
+        pending."""
         store = self._open_resident_store("local deletion")
-        in_sync = store.relation_in_sync(self.instance, target)
         self._pending.get(target, set()).discard(row)
         present = self.instance.delete(target, row)
-        if present and store.has_table(target):
-            store.delete_relation_row(self.catalog[target], row)
-            if in_sync:
-                # Both sides saw the same mutation; without this the
-                # deletion epoch would trigger a full reload of the
-                # whole relation on the next sync.
-                store.fast_forward_mark(self.instance, target)
+        if (
+            present
+            and store.has_table(target)
+            and store.delete_relation_row(self.catalog[target], row)
+        ):
+            self._removed_leaves.setdefault(target, set()).add(row)
         return present
 
     def delete_local_many(
@@ -663,11 +702,20 @@ class CDSS:
 
         store = self._open_resident_store("deletion propagation")
         program = self._fetch_program()
-        return SQLiteExchangeEngine(
+        reinserted = {
+            name: rows & self._pending.get(name, set())
+            for name, rows in self._removed_leaves.items()
+        }
+        result = SQLiteExchangeEngine(
             store, tracer=self.tracer
         ).propagate_deletions(
-            program, self.catalog, self.mappings, self.instance
+            program, self.catalog, self.mappings, self.instance, reinserted
         )
+        # A removed row that is not pending has lost its leaf now.
+        self._removed_leaves = {
+            name: rows for name, rows in reinserted.items() if rows
+        }
+        return result
 
     def _open_resident_store(self, operation: str) -> "ExchangeStore":
         """The pinned resident store, required open: it holds the only

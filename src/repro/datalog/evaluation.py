@@ -145,12 +145,11 @@ class EvaluationResult:
     #: True when the plans came from a :class:`ProgramCache` hit (the
     #: run compiled nothing; ``plans_compiled`` is then 0).
     plan_cache_hit: bool = False
-    #: rows shipped into the SQLite mirror by this run's incremental
-    #: instance sync (0 for the memory engine, and 0 again on a repeat
-    #: exchange over unchanged relations).
+    #: pending local rows this sqlite-engine exchange shipped into the
+    #: store (0 for the memory engine, for a repeat exchange with
+    #: nothing pending, and for every deletion propagation).
     rows_mirrored: int = 0
-    #: relations the sync had to touch (changed since the store's
-    #: high-water mark).
+    #: local-contribution relations those rows went into.
     relations_synced: int = 0
     #: tuples removed by deletion propagation (Q5) — the unsupported
     #: rows killed after the DERIVABILITY test; 0 for plain exchanges.

@@ -45,9 +45,9 @@ Engine selection happens at the API surface:
 path for out-of-core workloads whose working set exceeds memory; by
 default ``:memory:``).  That store is the *authoritative* instance —
 derived tuples and provenance stay relational, never materialized in
-Python; only local contributions are synced into it, incrementally
-from each relation's change journal (``rows_mirrored == 0`` over
-unchanged relations).  Both engines are verified property-test-identical
+Python; only local contributions reach it, each exchange shipping
+exactly the pending local rows (``rows_mirrored == 0`` when nothing
+is pending).  Both engines are verified property-test-identical
 on relations, ``P_m`` and individual derivations.
 
 Submodules that depend on :mod:`repro.cdss` are imported lazily so that

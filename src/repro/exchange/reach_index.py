@@ -247,10 +247,6 @@ class ReachabilityIndex:
         self._relnos: dict[str, int] = {}
         self._schema_ready = False
         self._temps_ready = False
-        #: set when the store renumbered rowids under the index (full
-        #: relation reload): node ids are invalid even though the run
-        #: itself would otherwise have been incremental.
-        self._renumbered = False
         #: the writer's read core (built by ``StoreGraphQueries``, kept
         #: here so its per-epoch caches outlive the per-query objects).
         self.read_core: "IndexReadCore | None" = None
@@ -272,30 +268,12 @@ class ReachabilityIndex:
 
     @property
     def current(self) -> bool:
-        return self.state == "current" and not self._renumbered
+        return self.state == "current"
 
     def mark_stale(self) -> None:
         """Persist that the index no longer matches the store."""
         if self.store.meta_get("index_state") != "stale":
             self.store.meta_set("index_state", "stale")
-
-    def note_content_shipped(self) -> None:
-        """Rows were mirrored into the store outside a maintained run
-        (e.g. the sync inside a deletion propagation).  New base rows
-        carry no firings, so the index structure stays valid — but the
-        epoch must bump so cached query results (which enumerate
-        stored rows) go cold."""
-        if self.state is not None:
-            self._bump_epoch()
-
-    def note_renumbered(self) -> None:
-        """A relation table was reloaded in full (rowids renumbered):
-        every node id may now point at a different tuple.  Marks the
-        index stale; the flag also defeats the incremental path of the
-        surrounding run's :meth:`on_run_complete`."""
-        if self.state is not None:
-            self._renumbered = True
-            self.mark_stale()
 
     def _bump_epoch(self) -> None:
         self.store.meta_set("index_epoch", self.epoch + 1)
@@ -409,8 +387,6 @@ class ReachabilityIndex:
         rebuild by re-enumerating the history.  Always bumps the epoch
         and finishes ``'current'``.
         """
-        if self._renumbered:
-            was_current = False
         with tracer.span("index.maintain") as span:
             if full_log:
                 mode = "replace"
@@ -430,7 +406,6 @@ class ReachabilityIndex:
     def _finalize_epoch(self) -> None:
         self._bump_epoch()
         self.store.meta_set("index_state", "current")
-        self._renumbered = False
 
     def _clear_content(self) -> None:
         conn = self.store.connection

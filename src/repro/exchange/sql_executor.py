@@ -38,7 +38,7 @@ from __future__ import annotations
 import os
 import sqlite3
 from contextlib import contextmanager
-from typing import Iterator, Mapping as TMapping, Sequence
+from typing import Iterator, Mapping as TMapping, MutableMapping, Sequence
 
 from repro.cdss.mapping import SchemaMapping
 from repro.datalog.evaluation import EvaluationResult
@@ -59,8 +59,8 @@ from repro.exchange.sql_plans import (
 from repro.obs.sqlite_hook import StatementTrace, statement_fingerprint
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.provenance.graph import ProvenanceGraph
-from repro.relational.instance import Catalog, ChangeMark, Instance, Row
-from repro.relational.schema import RelationSchema, is_local_name
+from repro.relational.instance import Catalog, Instance, Row
+from repro.relational.schema import RelationSchema
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
 
 
@@ -125,12 +125,9 @@ class ExchangeStore:
     tables hold the derived instance and its ``P_m`` tables and
     reachability index the firing history — on disk, or in RAM with
     ``path=":memory:"``.  Only local contributions reach it from
-    Python, through :meth:`sync_instance`, which reads each relation's
-    change journal and ships only what moved since this store's
-    high-water mark, so a repeat exchange over unchanged relations
-    transfers zero rows.  The same method fills a store from a
-    memory-engine system's instance for ProQL
-    (:class:`~repro.storage.sqlite_backend.SQLiteStorage`).
+    Python: each exchange ships the system's pending local rows
+    (:meth:`ship_local_rows`), so a repeat exchange with nothing
+    pending transfers zero rows.
 
     Dedicate a store to one CDSS for its lifetime: ``P_m`` rows
     accumulate across incremental calls, so pointing a second system at
@@ -163,13 +160,7 @@ class ExchangeStore:
         self.closed = False
         self._durable = False
         self._known_tables: set[str] = set()
-        #: per-relation journal high-water marks of the mirrored
-        #: instance (see :meth:`sync_instance`).
-        self._marks: dict[str, ChangeMark] = {}
-        #: the instance the marks describe; syncing a different object
-        #: resets them (marks are only comparable within one instance).
-        self._mirrored: Instance | None = None
-        #: per-relation row counts, maintained by sync/publish so
+        #: per-relation row counts, maintained by ship/publish so
         #: resident-mode exchanges never rescan whole tables with
         #: COUNT(*) (see :meth:`cached_count`).
         self._row_counts: dict[str, int] = {}
@@ -431,88 +422,45 @@ class ExchangeStore:
         finally:
             self.reset_work_tables(catalog, fsql)
 
-    def sync_instance(
-        self, instance: Instance, resident: bool = False
-    ) -> tuple[int, int]:
-        """Incrementally mirror the Python instance into the store.
-
-        Consults each relation's change journal
-        (:meth:`~repro.relational.instance.Instance.change_mark`)
-        against this store's high-water marks and ships only what
-        moved: appended rows go over as batched INSERTs; a relation
-        that saw a deletion (epoch change) — or was never synced — is
-        reloaded in full.  Unchanged relations cost one mark
-        comparison and zero SQL.
-
-        With ``resident=True`` (every exchange run) only
-        local-contribution relations are mirrored from the instance:
-        the store itself is the authoritative home of every derived
-        relation, so it must never be overwritten from the (empty)
-        Python side.  ``resident=False`` copies a memory-engine
-        system's whole instance.
-
-        Returns ``(rows_mirrored, relations_synced)``.
-        """
-        if self._mirrored is not instance:
-            self._marks.clear()
-            self._mirrored = instance
-        rows_mirrored = 0
-        relations_synced = 0
-        # High-water marks and row counts advance only after the
-        # transaction commits: a failure mid-sync rolls back every
-        # shipped row, so both must keep describing the pre-sync store.
-        new_marks: dict[str, ChangeMark] = {}
-        new_counts: dict[str, int] = {}
+    def ship_local_rows(
+        self, catalog: Catalog, pending: MutableMapping[str, set[Row]]
+    ) -> dict[str, list[tuple[object, ...]]]:
+        """Insert the *pending* local rows into their ``R_l`` tables in
+        one transaction, then empty *pending*: once the rows are
+        committed they are the store's, and a run that aborts later
+        must not ship them again.  Relations go in catalog order, rows
+        sorted by ``repr`` (deterministic even for rows mixing value
+        types that do not compare).  Returns the encoded rows per
+        relation, for the caller's delta seed."""
+        shipped: dict[str, list[tuple[object, ...]]] = {}
         with self.connection:
-            for schema in instance.catalog:
-                name = schema.name
-                if resident and not is_local_name(name):
+            for name in catalog.names():
+                rows = pending.get(name)
+                if not rows:
                     continue
-                current = instance.change_mark(name)
-                if self._marks.get(name) == current:
-                    continue
-                appended = instance.changes_since(name, self._marks.get(name))
-                if appended is None:
-                    self.connection.execute(f"DELETE FROM {_q(name)}")
-                    appended = sorted(instance[name], key=repr)
-                    new_counts[name] = len(appended)
-                    # The full reload renumbers the relation's rowids,
-                    # invalidating every node id the reachability index
-                    # may hold for it.
-                    self.reach_index.note_renumbered()
-                elif name in self._row_counts:
-                    new_counts[name] = self._row_counts[name] + len(appended)
-                if appended:
-                    placeholders = ", ".join("?" for _ in range(schema.arity))
-                    self.connection.executemany(
-                        f"INSERT INTO {_q(name)} VALUES ({placeholders})",
-                        [self.codec.encode_row(row) for row in appended],
-                    )
-                rows_mirrored += len(appended)
-                relations_synced += 1
-                new_marks[name] = current
-            if rows_mirrored:
-                # Stored content changed: epoch-keyed query caches
-                # over the reachability index must go cold, even when
-                # the index structure itself is untouched (appended
-                # base rows have no firings yet).
-                self.reach_index.note_content_shipped()
-        self._marks.update(new_marks)
-        self._row_counts.update(new_counts)
-        return rows_mirrored, relations_synced
+                encoded = [
+                    self.codec.encode_row(row) for row in sorted(rows, key=repr)
+                ]
+                placeholders = ", ".join("?" for _ in encoded[0])
+                self.connection.executemany(
+                    f"INSERT INTO {_q(name)} VALUES ({placeholders})", encoded
+                )
+                shipped[name] = encoded
+        for name, encoded in shipped.items():
+            self.note_rows_added(name, len(encoded))
+        pending.clear()
+        return shipped
 
-    def invalidate_sync(self) -> None:
+    def forget_counts(self) -> None:
         """Forget the cached row counts: the next :meth:`cached_count`
         of each relation rescans it.  Called when a run aborts: rounds
         that committed before the abort added rows that
-        :meth:`note_rows_added` never counted.  The high-water marks
-        stay — a sync commits with its marks, so they still describe
-        the store."""
+        :meth:`note_rows_added` never counted."""
         self._row_counts.clear()
 
     def cached_count(self, relation: str) -> int:
         """Rows in *relation*, from the count cache kept current by
-        :meth:`sync_instance` and :meth:`note_rows_added` — one
+        :meth:`note_rows_added` and :meth:`note_rows_removed` — one
         COUNT(*) scan per relation per store lifetime, after which
         incremental exchanges never rescan (resident mode's tables may
         hold working sets far larger than memory)."""
@@ -534,23 +482,6 @@ class ExchangeStore:
             self._row_counts[relation] = max(
                 0, self._row_counts[relation] - removed
             )
-
-    def relation_in_sync(self, instance: Instance, relation: str) -> bool:
-        """True iff *relation*'s store table provably matches the
-        instance (the high-water mark is current), so a mutation
-        applied to both sides keeps them in lockstep."""
-        return (
-            self._mirrored is instance
-            and self._marks.get(relation) == instance.change_mark(relation)
-        )
-
-    def fast_forward_mark(self, instance: Instance, relation: str) -> None:
-        """Advance one relation's high-water mark to the instance's
-        current journal position — called after the same mutation was
-        applied to both sides, so the next sync ships nothing instead
-        of epoch-reloading the whole relation."""
-        if self._mirrored is instance:
-            self._marks[relation] = instance.change_mark(relation)
 
     def delete_relation_row(self, schema: RelationSchema, row: Row) -> bool:
         """Delete one row from *schema*'s table (deletion-victim
@@ -808,21 +739,25 @@ class SQLiteExchangeEngine:
         catalog: Catalog,
         mappings: TMapping[str, SchemaMapping],
         instance: Instance,
-        initial_delta: TMapping[str, set[Row]] | None = None,
+        pending: MutableMapping[str, set[Row]],
+        incremental: bool = False,
         max_iterations: int | None = None,
     ) -> EvaluationResult:
         """Semi-naive SQL fixpoint over the store.
 
-        Semantics match :func:`repro.datalog.evaluation.evaluate` with
-        the same ``initial_delta`` contract: ``None`` seeds a full
-        exchange from the whole store, a mapping of per-relation row
-        sets seeds an incremental one (rows must already be inserted).
+        First ships the *pending* local rows — the ones the store has
+        not seen — into their ``R_l`` tables and empties *pending*
+        (:meth:`ExchangeStore.ship_local_rows`).  An *incremental* run
+        then seeds its delta with exactly those rows, as
+        :func:`repro.datalog.evaluation.evaluate` seeds its
+        ``initial_delta``; otherwise the run seeds from the whole
+        store.
 
         The store is the authoritative home of every derived relation:
-        *instance* contributes only its local-contribution relations,
-        and neither derived tuples nor provenance derivations are
+        neither derived tuples nor provenance derivations are
         materialized in Python (firings and ``P_m`` rows stay
         relational), so the working set never has to fit in memory.
+        *instance* only labels the returned result.
         """
         if program.sql is None:
             program.sql = lower_program(
@@ -840,7 +775,7 @@ class SQLiteExchangeEngine:
             # away before re-deriving anything — so re-seed from the
             # full store extension, which converges to the complete
             # fixpoint regardless of what partially committed.
-            initial_delta = None
+            incremental = False
         self.store.dirty_run = True
         # Every run maintains the reachability index: note whether it
         # matched the store *before* this run mutates anything, then
@@ -858,37 +793,45 @@ class SQLiteExchangeEngine:
             with StatementTrace(
                 self.store.connection, self.tracer
             ) as stmt_trace:
-                result = self._run_synced(
-                    sql, instance, initial_delta, max_iterations, stmt_trace
+                result = self._ship_and_run(
+                    sql,
+                    catalog,
+                    instance,
+                    pending,
+                    incremental,
+                    max_iterations,
+                    stmt_trace,
                 )
         except BaseException:
             # Committed rounds added rows the count cache never saw.
             # dirty_run stays set for the recovery above.
-            self.store.invalidate_sync()
+            self.store.forget_counts()
             raise
         index.on_run_complete(
             program.reach,
-            full_log=initial_delta is None,
+            full_log=not incremental,
             was_current=was_current,
             tracer=self.tracer,
         )
         self.store.dirty_run = False
         return result
 
-    def _run_synced(
+    def _ship_and_run(
         self,
         sql: FixpointSQL,
+        catalog: Catalog,
         instance: Instance,
-        initial_delta: TMapping[str, set[Row]] | None,
+        pending: MutableMapping[str, set[Row]],
+        incremental: bool,
         max_iterations: int | None,
         stmt_trace: StatementTrace,
     ) -> EvaluationResult:
         tracer = self.tracer
         result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
         with tracer.span("exchange.mirror") as mspan:
-            result.rows_mirrored, result.relations_synced = (
-                self.store.sync_instance(instance, resident=True)
-            )
+            shipped = self.store.ship_local_rows(catalog, pending)
+            result.rows_mirrored = sum(len(rows) for rows in shipped.values())
+            result.relations_synced = len(shipped)
             mspan.set("rows", result.rows_mirrored).set(
                 "relations", result.relations_synced
             )
@@ -901,7 +844,7 @@ class SQLiteExchangeEngine:
         result.iterations, result.firings, added = run_fixpoint(
             self.store,
             sql,
-            self._seed_deltas(instance, sql, initial_delta),
+            self._seed_deltas(sql, shipped if incremental else None),
             sizes=rel_counts,
             max_iterations=max_iterations,
             tracer=tracer,
@@ -918,15 +861,22 @@ class SQLiteExchangeEngine:
         catalog: Catalog,
         mappings: TMapping[str, SchemaMapping],
         instance: Instance,
+        reinserted: TMapping[str, set[Row]],
         max_iterations: int | None = None,
     ) -> EvaluationResult:
         """Relational deletion propagation (Q5) inside the store.
 
         Runs after deletion victims were removed from the ``R_l``
-        tables (:meth:`ExchangeStore.delete_relation_row` /
-        :meth:`ExchangeStore.sync_instance`): the liveness fixpoint
-        re-runs the DERIVABILITY test over the firing history — every
-        relation's *live* set grows semi-naively from the surviving
+        tables (:meth:`ExchangeStore.delete_relation_row`) and writes
+        no ``R_l`` row itself.  The live set starts from the stored
+        ``R_l`` rows plus *reinserted*: pending local rows that were
+        exchanged, deleted from the store and inserted again, with no
+        propagation in between at which they were absent.  The memory
+        engine's graph still holds them as live leaves.  Other pending
+        rows seed nothing: the memory engine never recorded their
+        firings either.  The liveness fixpoint then re-runs the
+        DERIVABILITY test over the firing history — every relation's
+        *live* set grows semi-naively from the surviving
         EDB leaves through the rule bodies, so a tuple is killed
         exactly when every firing producing it has a killed antecedent
         (and, because liveness is the *least* fixpoint, cyclically
@@ -950,27 +900,22 @@ class SQLiteExchangeEngine:
         tracer = self.tracer
         result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
         with store.work_tables(catalog, mappings, fsql, program.fingerprint):
-            # Bring the store's EDB up to date with the Python side
-            # (victim marking already shrank both).  Pending unexchanged
-            # local rows ride along and do seed the live set — but their
-            # derived consequences are discarded by the stage's
-            # stored-row filter (an unexchanged row's heads are not in
-            # the relation tables), so, like the graph engine's
-            # unrecorded firings, they can neither resurrect a dying
-            # tuple nor leak into the P_m projections.
-            with tracer.span("exchange.mirror") as mspan:
-                result.rows_mirrored, result.relations_synced = (
-                    store.sync_instance(instance, resident=True)
-                )
-                mspan.set("rows", result.rows_mirrored).set(
-                    "relations", result.relations_synced
-                )
             with tracer.span("deletion.fixpoint") as fspan:
                 with conn:
                     seeds = {
                         relation: seed_rows(store, LIVENESS, relation)
                         for relation in fsql.edb_relations
                     }
+                    for relation, rows in reinserted.items():
+                        seeds[relation] += seed_rows(
+                            store,
+                            LIVENESS,
+                            relation,
+                            [
+                                store.codec.encode_row(row)
+                                for row in sorted(rows, key=repr)
+                            ],
+                        )
                 result.iterations, result.pm_rows_scanned, _ = run_fixpoint(
                     store, fsql, seeds, max_iterations=max_iterations,
                     tracer=tracer,
@@ -1014,35 +959,20 @@ class SQLiteExchangeEngine:
 
     def _seed_deltas(
         self,
-        instance: Instance,
         sql: FixpointSQL,
-        initial_delta: TMapping[str, set[Row]] | None,
+        rows: TMapping[str, Sequence[Sequence[object]]] | None,
     ) -> dict[str, int]:
+        """Seed the exchange delta: with the encoded *rows* per
+        relation, or — None — with the whole store."""
         store = self.store
-        counts: dict[str, int] = {}
         with store.connection:
-            if initial_delta is None:
-                for relation in sql.relations:
-                    counts[relation] = seed_rows(store, EXCHANGE, relation)
-                return counts
-            for relation, rows in initial_delta.items():
-                rows = {tuple(row) for row in rows}
-                if not rows:
-                    continue
-                missing = [
-                    row for row in rows if not instance.contains(relation, row)
-                ]
-                if missing:
-                    raise EvaluationError(
-                        f"initial_delta rows not in the instance for "
-                        f"{relation}: {missing[:3]}; insert them before "
-                        "evaluating"
-                    )
-                if relation in sql.relations:
-                    counts[relation] = seed_rows(
-                        store,
-                        EXCHANGE,
-                        relation,
-                        [store.codec.encode_row(r) for r in sorted(rows, key=repr)],
-                    )
-        return counts
+            if rows is None:
+                return {
+                    relation: seed_rows(store, EXCHANGE, relation)
+                    for relation in sql.relations
+                }
+            return {
+                relation: seed_rows(store, EXCHANGE, relation, encoded)
+                for relation, encoded in rows.items()
+                if relation in sql.relations
+            }

@@ -20,7 +20,7 @@ SPANS: dict[str, str] = {
     "exchange": "One CDSS.exchange call (attrs: engine, resident, rounds, firings).",
     "exchange.validate": "Pre-flight static analysis of the mapping program.",
     "exchange.compile": "Mapping-program compilation / cache fetch (attrs: cache_hit).",
-    "exchange.mirror": "Incremental instance-to-store sync (attrs: rows, relations).",
+    "exchange.mirror": "Ship of pending local rows into the store (attrs: rows, relations).",
     "exchange.round": "One semi-naive round of either engine (attrs: round).",
     "exchange.rule": "One compiled plan over one delta, memory engine (attrs: rule).",
     "exchange.statement": "One SQL statement of a round, sqlite engine (attrs: rule, phase, fingerprint).",

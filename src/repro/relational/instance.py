@@ -5,71 +5,20 @@ An :class:`Instance` holds the extension of every relation in a
 identity is by value (set semantics), while the storage layer keys
 tuples by their schema key (Section 4.1 of the paper).
 
-Every relation additionally carries a **change journal** so external
-mirrors (the SQLite :class:`~repro.exchange.sql_executor.ExchangeStore`)
-can ship only what moved since their last sync instead of reloading the
-whole relation:
-
-* a *deletion epoch* that bumps on every successful delete — an epoch
-  change tells a mirror its incremental log is no longer a superset of
-  the relation, so it must reload in full;
-* an *appended-row log* of the rows inserted since the epoch started,
-  in insertion order, from which a mirror replays just the suffix past
-  its high-water mark.
-
-A journal position is the opaque pair ``(epoch, appended)`` returned by
-:meth:`Instance.change_mark`; :meth:`Instance.changes_since` answers
-"what happened after this mark" as either an appended-row suffix or
-``None`` (reload required).
-
-The log starts recording only once someone takes a relation's first
-mark (a mirror that has never synced needs a full reload regardless,
-so pre-mark inserts need no replay).  Workloads that never attach a
-mirror therefore pay nothing; with a mirror attached the log holds one
-reference per row inserted in the current epoch — bounded by the
-relation's size, since any deletion clears it.
+A sqlite-engine :class:`~repro.cdss.system.CDSS` keeps only its
+local-contribution relations here; its store holds everything else,
+and the system's pending set says which local rows the store has not
+seen yet.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import SchemaError
 from repro.relational.schema import RelationSchema
 
 Row = tuple[object, ...]
-
-#: Opaque journal position: (deletion epoch, appended-row count).
-ChangeMark = tuple[int, int]
-
-
-class _Journal:
-    """Per-relation change journal (see module docstring)."""
-
-    __slots__ = ("epoch", "appended", "observed")
-
-    def __init__(self) -> None:
-        self.epoch = 0
-        self.appended: list[Row] = []
-        self.observed = False
-
-    def mark(self) -> ChangeMark:
-        # Taking a mark is what turns recording on: replay is only ever
-        # requested from a mark, and a caller without one full-reloads,
-        # so rows inserted before the first mark need no log entry.
-        self.observed = True
-        return (self.epoch, len(self.appended))
-
-    def record_insert(self, row: Row) -> None:
-        if self.observed:
-            self.appended.append(row)
-
-    def record_delete(self) -> None:
-        # The appended log only ever replays within one epoch; a
-        # deletion forces mirrors into a full reload anyway, so the
-        # log restarts empty.
-        self.epoch += 1
-        self.appended.clear()
 
 
 class Catalog:
@@ -123,7 +72,6 @@ class Instance:
     def __init__(self, catalog: Catalog):
         self.catalog = catalog
         self._data: dict[str, set[Row]] = {s.name: set() for s in catalog}
-        self._journals: dict[str, _Journal] = {}
 
     # -- mutation -----------------------------------------------------------
 
@@ -144,7 +92,6 @@ class Instance:
         if row in table:
             return False
         table.add(row)
-        self._journal(relation).record_insert(row)
         return True
 
     def insert_many(self, relation: str, rows: Iterable[Iterable[object]]) -> int:
@@ -157,38 +104,8 @@ class Instance:
         table = self._data.get(relation, set())
         if row in table:
             table.remove(row)
-            self._journal(relation).record_delete()
             return True
         return False
-
-    # -- change journal -----------------------------------------------------
-
-    def _journal(self, relation: str) -> _Journal:
-        journal = self._journals.get(relation)
-        if journal is None:
-            journal = self._journals[relation] = _Journal()
-        return journal
-
-    def change_mark(self, relation: str) -> ChangeMark:
-        """Current journal position of *relation* (opaque; monotonic
-        within a deletion epoch).  Two equal marks mean the relation is
-        unchanged between them."""
-        return self._journal(relation).mark()
-
-    def changes_since(
-        self, relation: str, mark: ChangeMark | None
-    ) -> Sequence[Row] | None:
-        """Rows appended to *relation* since *mark*, in insertion order.
-
-        Returns ``None`` when an incremental replay is impossible — the
-        caller has never synced (``mark is None``) or the relation saw a
-        deletion since (epoch moved) — meaning a mirror must reload the
-        relation in full.
-        """
-        journal = self._journal(relation)
-        if mark is None or mark[0] != journal.epoch:
-            return None
-        return journal.appended[mark[1]:]
 
     # -- access -------------------------------------------------------------
 

@@ -20,7 +20,7 @@ from repro.cdss.mapping import SchemaMapping
 from repro.datalog.atoms import match_tuple
 from repro.datalog.terms import Variable
 from repro.errors import StorageError
-from repro.provenance.graph import DerivationNode, ProvenanceGraph, TupleNode
+from repro.provenance.graph import DerivationNode, ProvenanceGraph
 
 
 def binding_of(
@@ -64,38 +64,3 @@ def provenance_rows(
     for derivation in sorted(graph.derivations, key=str):
         if derivation.mapping == mapping.name:
             yield mapping.derivation_key(binding_of(mapping, derivation))
-
-
-def derivation_from_row(
-    mapping: SchemaMapping,
-    row: tuple[object, ...],
-    attribute_values: dict[Variable, object],
-) -> DerivationNode:
-    """Rebuild a derivation node from a P_m row plus extra bindings.
-
-    ``attribute_values`` must bind every non-key variable of the
-    mapping (obtained by joining P_m back to the base relations);
-    anonymous wildcard positions may be left unbound and are filled
-    with None (the attribute is projected away by the mapping).
-    """
-    from repro.datalog.terms import is_wildcard
-
-    binding: dict[Variable, object] = dict(attribute_values)
-    for column, value in zip(mapping.provenance_columns, row):
-        binding[column.variable] = value
-    for atom in mapping.body + mapping.head:
-        for variable in atom.variables():
-            if variable not in binding:
-                if not is_wildcard(variable):
-                    raise StorageError(
-                        f"derivation_from_row: unbound variable "
-                        f"{variable.name} of mapping {mapping.name}"
-                    )
-                binding[variable] = None
-    sources = tuple(
-        TupleNode(atom.relation, atom.ground(binding)) for atom in mapping.body
-    )
-    targets = tuple(
-        TupleNode(atom.relation, atom.ground(binding)) for atom in mapping.head
-    )
-    return DerivationNode(mapping.name, sources, targets)

@@ -17,9 +17,9 @@ provenance atom for one.
   authoritative instance itself, so nothing is copied and
   :meth:`~SQLiteStorage.load` has nothing to do;
 * any other system gets a store of its own, which
-  :meth:`~SQLiteStorage.load` fills from the Python instance (through
-  ``ExchangeStore.sync_instance``, the one mirror path) and from the
-  provenance graph (through :func:`~repro.storage.provrel.provenance_rows`).
+  :meth:`~SQLiteStorage.load` fills with a full copy of the Python
+  instance and of the provenance graph (through
+  :func:`~repro.storage.provrel.provenance_rows`).
 """
 
 from __future__ import annotations
@@ -67,33 +67,35 @@ class SQLiteStorage:
         self.codec = self.store.codec
 
     def load(self) -> int:
-        """(Re)load the store from the CDSS: every relation through the
-        incremental mirror, every ``P_m`` in full from the provenance
+        """(Re)load the store from the CDSS: a full copy of every
+        relation of the instance and of every ``P_m`` of the provenance
         graph.  Returns the number of rows written — 0 for a resident
         binding, whose store already is the instance."""
         if self.resident:
             return 0
-        cdss, store = self.cdss, self.store
-        store.ensure_stored_schema(cdss.catalog, cdss.mappings)
-        written, _ = store.sync_instance(cdss.instance)
+        cdss = self.cdss
+        self.store.ensure_stored_schema(cdss.catalog, cdss.mappings)
+        tables = [
+            (schema, cdss.instance[schema.name]) for schema in cdss.catalog
+        ] + [
+            (mapping.provenance_schema(), provenance_rows(mapping, cdss.graph))
+            for mapping in cdss.mappings.values()
+            if mapping.stores_provenance
+        ]
+        written = 0
         with self.connection:
-            for mapping in cdss.mappings.values():
-                if not mapping.stores_provenance:
-                    continue
-                schema = mapping.provenance_schema()
+            for schema, rows in tables:
                 table = quote_identifier(schema.name)
                 # key=repr: deterministic order even for rows mixing
                 # value types (None/int/str) that do not compare.
-                rows = sorted(
-                    set(provenance_rows(mapping, cdss.graph)), key=repr
-                )
+                ordered = sorted(set(rows), key=repr)
                 placeholders = ", ".join("?" for _ in range(schema.arity))
                 self.connection.execute(f"DELETE FROM {table}")
                 self.connection.executemany(
                     f"INSERT INTO {table} VALUES ({placeholders})",
-                    [self.codec.encode_row(row) for row in rows],
+                    [self.codec.encode_row(row) for row in ordered],
                 )
-                written += len(rows)
+                written += len(ordered)
         return written
 
     def query(

@@ -273,8 +273,8 @@ def test_engines_agree_after_deletions_with_incremental_sync(
     kind, num_peers, base_rows, extra_rows, drop
 ):
     """Full exchange, delete_local + propagate_deletions, then an
-    incremental exchange: the SQLite store — its local relations
-    synced incrementally — ends with exactly the memory engine's
+    incremental exchange: the SQLite store — sent only the pending
+    local rows by each exchange — ends with exactly the memory engine's
     relations, P_m rows and derivations."""
     victims = base_rows[: drop % (len(base_rows) + 1)]
     systems = {}
@@ -356,8 +356,8 @@ def test_resident_sql_deletion_matches_graph_engine(
         assert_store_matches(memory, resident)
 
         # Post-delete incremental exchange: rows_mirrored counts only
-        # the appended local rows — the deletion epochs were consumed
-        # by the SQL victim marking, not by full relation reloads.
+        # the pending local rows — a deletion never reloads a
+        # relation.
         appended = {}
         for peer, k, v in extra_rows:
             peer %= num_peers

@@ -15,6 +15,7 @@ from repro.cdss import CDSS, Peer
 from repro.errors import ExchangeError
 from repro.exchange.sql_executor import ExchangeStore, SQLiteExchangeEngine
 from repro.relational import RelationSchema
+from repro.storage import provenance_rows
 from repro.storage.encoding import quote_identifier
 
 from store_state import (
@@ -328,8 +329,8 @@ class TestLoweringLimits:
 
 
 class TestIncrementalMirror:
-    """The sync protocol: ship only the local rows that moved since the
-    store's high-water mark, never the whole instance."""
+    """An exchange ships exactly the pending local rows into the store,
+    never the whole instance."""
 
     def test_second_exchange_over_unchanged_relations_ships_nothing(self):
         memory, system = example_twins()
@@ -366,25 +367,26 @@ class TestIncrementalMirror:
         assert result.rows_mirrored == 0
         assert result.relations_synced == 0
 
-    def test_deletion_forces_full_reload_of_affected_relations(self):
+    def test_propagation_ships_nothing_exchange_ships_pending(self):
         memory, system = example_twins()
         populate_example(memory)
         insert_example_data(system)
         system.exchange(engine="sqlite")
+        a_l = system.catalog["A_l"]
         for target in (memory, system):
-            # The pending insertion puts A_l out of step with the
-            # store, so the deletion cannot be applied to both sides
-            # in lockstep: A_l reloads in full on the next sync.
+            # A pending insertion beside a deletion of the same
+            # relation: the propagation writes no R_l row, and the
+            # pending row stays out of the store until the exchange.
             target.insert_local("A", (3, "sn3", 9))
             target.delete_local("A", (2, "sn1", 5))
             target.propagate_deletions()
             target.insert_local("C", (1, "cn9"))
-        reload = system.last_deletion
-        assert reload.rows_mirrored == system.instance.size("A_l") == 2
-        assert reload.relations_synced == 1
+        deletion = system.last_deletion
+        assert deletion.rows_mirrored == deletion.relations_synced == 0
+        assert system.exchange_store.relation_rows(a_l) == {(1, "sn1", 7)}
         result = system.exchange(engine="sqlite")
         memory.exchange()
-        assert result.rows_mirrored == result.relations_synced == 1
+        assert result.rows_mirrored == result.relations_synced == 2
         assert_store_matches(memory, system)
 
     def test_on_disk_incremental_sync(self, tmp_path):
@@ -406,19 +408,23 @@ class TestIncrementalMirror:
         system.exchange_store = store = ExchangeStore()
         engine = SQLiteExchangeEngine(store)
         with pytest.raises(EvaluationError):
+            # The run ships the system's pending rows and consumes them.
             engine.run(
                 program,
                 system.catalog,
                 system.mappings,
                 system.instance,
+                system._pending,
                 max_iterations=1,
             )
         # The aborted run committed its first round: derived rows the
         # count cache never saw.  The next run must re-seed, converge
         # and count every stored row.
         assert store.dirty_run
+        assert store.count("A_l") == 2
         result = system.exchange(engine="sqlite")
         assert result.rows_mirrored == 0  # the local rows were shipped
+        assert store.count("A_l") == 2  # ...and only once
         assert not store.dirty_run
         populate_example(memory)
         assert_store_matches(memory, system)
@@ -426,6 +432,125 @@ class TestIncrementalMirror:
         assert system.instance_size(public_only=False) == (
             memory.instance_size(public_only=False)
         )
+
+
+def stored_tables(path):
+    """Every row of every table of the store file at *path*, rowids
+    included — what "the store is unchanged" compares."""
+    import sqlite3
+
+    connection = sqlite3.connect(path)
+    try:
+        names = [
+            name
+            for (name,) in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "AND name NOT LIKE 'sqlite_%' ORDER BY name"
+            )
+        ]
+        tables = {}
+        for name in names:
+            table = quote_identifier(name)
+            try:
+                rows = connection.execute(
+                    f"SELECT rowid, * FROM {table}"
+                ).fetchall()
+            except sqlite3.OperationalError:  # a WITHOUT ROWID table
+                rows = connection.execute(f"SELECT * FROM {table}").fetchall()
+            tables[name] = sorted(rows, key=repr)
+        return tables
+    finally:
+        connection.close()
+
+
+class TestPendingLocalRows:
+    """The pending set is the one record of the local rows a store has
+    not seen: an exchange ships exactly those, a propagation ships
+    none, and a first exchange onto a populated store ships only what
+    it lacks — or refuses."""
+
+    def test_pending_row_does_not_keep_a_dying_tuple(self, tmp_path):
+        memory, resident = build_resident_deletion_pair(tmp_path)
+        for system in (memory, resident):
+            system.insert_local("A", (5, "x", 1))
+            system.exchange()
+            # m2 derives N(5, x, true); the same tuple is now also
+            # inserted locally, but not exchanged.
+            system.insert_local("N", (5, "x", True))
+            assert system.delete_local("A", (5, "x", 1))
+        removed = [memory.propagate_deletions(), resident.propagate_deletions()]
+        store = resident.exchange_store
+        for schema in resident.catalog:
+            if not schema.name.endswith("_l"):
+                assert store.relation_rows(schema) == set(
+                    memory.instance[schema.name]
+                ), schema.name
+        assert (5, "x", True) not in store.relation_rows(resident.catalog["N"])
+        for name, mapping in resident.mappings.items():
+            if mapping.stores_provenance:
+                assert stored_pm_rows(store, mapping) == set(
+                    provenance_rows(memory.mappings[name], memory.graph)
+                ), name
+        assert resident.derivability() == memory.derivability()
+        assert removed[0] == removed[1]
+        # The exchange ships the pending N_l row, which derives the
+        # tuple again.
+        result = resident.exchange()
+        memory.exchange()
+        assert result.rows_mirrored == 1
+        assert_store_matches(memory, resident)
+
+    def build_store(self, tmp_path):
+        """A memory twin and the path of a closed store holding the
+        exchanged running example."""
+        path = str(tmp_path / "existing.db")
+        memory, resident = example_twins()
+        for system in (memory, resident):
+            insert_example_data(system)
+        memory.exchange()
+        resident.exchange(engine="sqlite", storage=path)
+        resident.exchange_store.close()
+        return memory, path
+
+    def test_fresh_system_without_rows_is_refused(self, tmp_path):
+        from repro.errors import StorageError
+
+        memory, path = self.build_store(tmp_path)
+        before = stored_tables(path)
+        fresh, _ = example_twins()
+        with pytest.raises(StorageError, match="A_l"):
+            fresh.exchange(engine="sqlite", storage=path)
+        assert stored_tables(path) == before
+        assert fresh.exchange_store is None and not fresh.resident
+        assert fresh.last_exchange is None
+        # The refused system is untouched: it still exchanges onto a
+        # store of its own.
+        fresh.insert_local("A", (3, "sn3", 9))
+        result = fresh.exchange(engine="sqlite")
+        assert result.rows_mirrored == 1
+
+    def test_replaying_system_adopts_the_store(self, tmp_path):
+        memory, path = self.build_store(tmp_path)
+        replay, _ = example_twins()
+        insert_example_data(replay)
+        result = replay.exchange(engine="sqlite", storage=path)
+        assert result.rows_mirrored == result.relations_synced == 0
+        store = replay.exchange_store
+        assert store.count("A_l") == 2
+        assert_store_matches(memory, replay)
+        assert replay.derivability() == memory.derivability()
+
+    def test_superset_replay_ships_only_the_missing_rows(self, tmp_path):
+        memory, path = self.build_store(tmp_path)
+        replay, _ = example_twins()
+        insert_example_data(replay)
+        for system in (memory, replay):
+            system.insert_local("A", (3, "sn3", 9))
+        memory.exchange()
+        result = replay.exchange(engine="sqlite", storage=path)
+        assert result.rows_mirrored == result.relations_synced == 1
+        assert replay.exchange_store.count("A_l") == 3
+        assert_store_matches(memory, replay)
 
 
 class TestResidentMode:
@@ -652,20 +777,26 @@ class TestResidentMode:
             for system in (resident, plain):
                 system.insert_local("A", (3, "sn3", 9))
             program, _ = resident.plan_cache.fetch(resident.program())
-            engine = SQLiteExchangeEngine(resident.exchange_store)
+            store = resident.exchange_store
+            engine = SQLiteExchangeEngine(store)
             with pytest.raises(EvaluationError):
                 engine.run(
                     program,
                     resident.catalog,
                     resident.mappings,
                     resident.instance,
-                    initial_delta={"A_l": {(3, "sn3", 9)}},
+                    resident._pending,
+                    incremental=True,
                     max_iterations=1,
                 )
-            assert resident.exchange_store.dirty_run
-            resident.exchange(engine="sqlite", resident=True)
+            assert store.dirty_run
+            assert store.count("A_l") == 3
+            result = resident.exchange(engine="sqlite", resident=True)
             plain.exchange()
-            assert not resident.exchange_store.dirty_run
+            # The aborted run shipped A(3, sn3, 9); nobody ships it again.
+            assert result.rows_mirrored == 0
+            assert store.count("A_l") == 3
+            assert not store.dirty_run
             assert_store_matches(plain, resident)
             assert resident.instance_size() == plain.instance_size()
 
@@ -771,12 +902,15 @@ class TestResidentMode:
                 resident.catalog,
                 resident.mappings,
                 resident.instance,
-                initial_delta={"A_l": {(3, "sn3", 9)}},
+                resident._pending,
+                incremental=True,
                 max_iterations=1,
             )
         resident.exchange_store.close()
-        resident.exchange(engine="sqlite", storage=path, resident=True)
+        result = resident.exchange(engine="sqlite", storage=path, resident=True)
         plain.exchange()
+        assert result.rows_mirrored == 0
+        assert resident.exchange_store.count("A_l") == 3
         assert not resident.exchange_store.dirty_run
         assert_store_matches(plain, resident)
 
@@ -798,7 +932,7 @@ class TestResidentMode:
         self, tmp_path, monkeypatch
     ):
         # rel_counts come from the store's count cache (maintained by
-        # sync and publish), so incremental exchanges must not COUNT(*)
+        # ship and publish), so incremental exchanges must not COUNT(*)
         # over relation tables — only over the `__`-prefixed staging
         # tables, whose size is the per-round delta.
         real_count = ExchangeStore.count
@@ -924,8 +1058,7 @@ class TestResidentDeletion:
             _seed_topology(resident, num_peers, extra)
             memory.exchange()
             result = resident.exchange(engine="sqlite", resident=True)
-            # The victim marking fast-forwarded the sync marks, so the
-            # incremental exchange ships only the two appended local
+            # The incremental exchange ships only the two pending local
             # rows — deletions must not force full reloads of their
             # relations.
             assert result.rows_mirrored == 2
@@ -1414,6 +1547,7 @@ class TestFixpointRounds:
                     resident.catalog,
                     resident.mappings,
                     resident.instance,
+                    {},
                     max_iterations=limit,
                 ).rows_deleted,
                 memory.propagate_deletions,

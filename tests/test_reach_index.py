@@ -278,11 +278,10 @@ class TestEpochPersistence:
         assert resident.last_graph_query.index_hit == 1
 
     def test_reopen_by_path_continues_the_lifecycle(self, tmp_path):
-        # Sync high-water marks are per-process, so the first *run*
-        # after a reopen full-reloads the local relations and the
-        # maintenance takes the rebuild path — but queries before any
-        # run answer straight from the persisted index, and everything
-        # keeps matching the memory twin afterwards.
+        # The first run after a reopen ships only the pending row: no
+        # rowid moves, so the maintenance extends the persisted index
+        # instead of rebuilding it, and everything keeps matching the
+        # memory twin afterwards.
         path = str(tmp_path / "resident.db")
         memory, resident = example_twins()
         insert_example_data(memory)
@@ -299,7 +298,7 @@ class TestEpochPersistence:
         maintain = [
             r for r in sink.records() if r["name"] == "index.maintain"
         ]
-        assert [r["attrs"]["mode"] for r in maintain] == ["rebuild"]
+        assert [r["attrs"]["mode"] for r in maintain] == ["extend"]
         assert resident.derivability() == memory.derivability()
         assert resident.last_graph_query.index_hit == 1
 
@@ -423,7 +422,7 @@ class TestPreparedStatements:
         # A repeat at the same epoch is a cache hit and runs no SQL at
         # all; after an epoch bump the same probe recomputes through
         # the SQL text built the first time.
-        store.reach_index.note_content_shipped()
+        store.meta_set("index_epoch", store.reach_index.epoch + 1)
         resident.lineage(o_node(memory))
         assert store.prepared_misses == misses
         assert store.prepared_hits > 0

@@ -166,59 +166,3 @@ class TestInstance:
         instance.insert("R", (1, 2))
         assert instance != other
 
-
-class TestChangeJournal:
-    """The per-relation change journal external mirrors sync from."""
-
-    @pytest.fixture
-    def instance(self):
-        return Instance(Catalog([RelationSchema.of("R", ["a", "b"])]))
-
-    def test_never_synced_needs_full_reload(self, instance):
-        instance.insert("R", (1, 2))
-        assert instance.changes_since("R", None) is None
-
-    def test_unchanged_relation_has_equal_marks(self, instance):
-        instance.insert("R", (1, 2))
-        mark = instance.change_mark("R")
-        instance.insert("R", (1, 2))  # duplicate: no change
-        instance.delete("R", (9, 9))  # absent: no change
-        assert instance.change_mark("R") == mark
-        assert list(instance.changes_since("R", mark)) == []
-
-    def test_appends_replay_in_insertion_order(self, instance):
-        instance.insert("R", (1, 2))
-        mark = instance.change_mark("R")
-        instance.insert("R", (3, 4))
-        instance.insert("R", (5, 6))
-        assert list(instance.changes_since("R", mark)) == [(3, 4), (5, 6)]
-        assert instance.change_mark("R") != mark
-
-    def test_deletion_forces_full_reload(self, instance):
-        instance.insert("R", (1, 2))
-        instance.insert("R", (3, 4))
-        mark = instance.change_mark("R")
-        instance.delete("R", (1, 2))
-        assert instance.changes_since("R", mark) is None
-        # A fresh mark taken after the deletion replays incrementally.
-        mark = instance.change_mark("R")
-        instance.insert("R", (7, 8))
-        assert list(instance.changes_since("R", mark)) == [(7, 8)]
-
-    def test_log_records_only_after_first_mark(self, instance):
-        # Rows inserted before anyone takes a mark are never logged
-        # (a first sync full-reloads anyway), so mirror-less workloads
-        # carry no journal overhead.
-        instance.insert("R", (1, 2))
-        assert instance._journal("R").appended == []
-        instance.change_mark("R")
-        instance.insert("R", (3, 4))
-        assert instance._journal("R").appended == [(3, 4)]
-
-    def test_insert_after_delete_of_same_row(self, instance):
-        instance.insert("R", (1, 2))
-        mark = instance.change_mark("R")
-        instance.delete("R", (1, 2))
-        instance.insert("R", (1, 2))
-        assert instance.changes_since("R", mark) is None
-        assert instance.contains("R", (1, 2))

@@ -72,10 +72,9 @@ def compare_with_oracle(resident, readers, pick, distrusted):
     one)."""
     store = resident.exchange_store
     if store.meta_get("index_state") != "current":
-        # Invalidation (a propagation's sync reloaded a relation in
-        # full, renumbering its rowids): the reader must refuse rather
-        # than extrapolate, until the writer's own next indexed query
-        # rebuilds the index.
+        # A stale index (a run died mid-flight): the reader must
+        # refuse rather than extrapolate, until the writer's own next
+        # indexed query rebuilds the index.
         with pytest.raises(ServeUnavailable):
             ReaderSession(
                 store.path, resident.catalog, retry=FAST_RETRY

@@ -4,11 +4,10 @@ import pytest
 
 from repro.datalog.terms import SkolemValue
 from repro.errors import StorageError
-from repro.provenance import TupleNode
 from repro.relational import RelationSchema
 from repro.storage import SQLiteStorage, ValueCodec, provenance_rows
 from repro.storage.encoding import quote_identifier
-from repro.storage.provrel import binding_of, derivation_from_row
+from repro.storage.provrel import binding_of
 
 
 class TestValueCodec:
@@ -290,18 +289,6 @@ class TestBindingRecovery:
         mapping = example_cdss.mappings["m1"]
         rows = sorted(provenance_rows(mapping, example_cdss.graph))
         assert rows == [(1, "cn1"), (2, "cn2")]
-
-    def test_derivation_from_row(self, example_cdss):
-        from repro.datalog.terms import Variable
-
-        mapping = example_cdss.mappings["m5"]
-        rebuilt = derivation_from_row(
-            mapping,
-            (2, "cn2"),
-            {Variable("h"): 5, Variable("s"): "sn1"},
-        )
-        assert rebuilt.mapping == "m5"
-        assert TupleNode("O", ("cn2", 5, True)) in rebuilt.targets
 
     def test_binding_of_wrong_mapping_rejected(self, example_cdss):
         mapping = example_cdss.mappings["m1"]
