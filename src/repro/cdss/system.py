@@ -27,7 +27,12 @@ from repro.cdss.trust import TrustPolicy
 from repro.datalog.evaluation import EvaluationResult, evaluate
 from repro.datalog.parser import parse_rule
 from repro.datalog.rules import Program, Rule
-from repro.errors import ExchangeError, SchemaError, StorageError
+from repro.errors import (
+    ExchangeError,
+    ReinsertWindowError,
+    SchemaError,
+    StorageError,
+)
 from repro.exchange.cache import ProgramCache
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import as_tracer
@@ -104,7 +109,8 @@ class CDSS:
         #: hold — removed since the last :meth:`propagate_deletions`,
         #: or pending again at every propagation since.  Such a row,
         #: once inserted again, is a live leaf there although the store
-        #: lacks it.
+        #: lacks it: graph queries refuse while one is pending
+        #: (:class:`~repro.errors.ReinsertWindowError`).
         self._removed_leaves: dict[str, set[Row]] = {}
         self._exchanged_once = False
         #: engine statistics of the most recent :meth:`exchange`.
@@ -352,9 +358,11 @@ class CDSS:
         run over a *current* index extends it with just the new
         firings, and any other combination rebuilds it from the stored
         history — so the next graph query starts from a current index
-        (``docs/graph-index.md``).  A run that dies mid-flight leaves
-        the index marked stale; nothing is lost, the next graph query
-        or run rebuilds it.
+        (``docs/graph-index.md``).  The whole run — shipping, rounds and
+        index maintenance — is one transaction: a run that raises or
+        dies mid-flight leaves the store, its index and the pending
+        rows exactly as they were, and readers keep serving the
+        previous epoch.
 
         **Pre-flight** (``validate=``): ``"warn"`` or ``"error"`` runs
         the static analyzer (:func:`repro.analysis.analyze`) over the
@@ -550,9 +558,12 @@ class CDSS:
         the authoritative store's local-contribution table.  When the
         maintained reachability index is current, the store-side
         victim marking (one ``DELETE … RETURNING rowid``) also removes
-        the victim's incident firings from the index in the same
-        transaction, keeping it *current* — see
-        ``docs/graph-index.md``.
+        the victim's incident firings from the index and records their
+        heads as roots of the pending cone, in the same transaction —
+        the index stays *current*, and :meth:`propagate_deletions` can
+        walk the cone instead of the store.  A victim the index cannot
+        follow clears the roots marker, so the next propagation runs
+        the full fixpoint — see ``docs/graph-index.md``.
 
         Float NaNs in *row* are canonicalized exactly as in
         :meth:`insert_local`, so a NaN-carrying row deletes the row it
@@ -566,33 +577,46 @@ class CDSS:
         target = relation if is_local_name(relation) else local_name(relation)
         row = canonical_row(row)
         if self.resident:
-            return self._resident_delete(target, row)
+            return bool(self._resident_delete(target, [row]))
         self._pending.get(target, set()).discard(row)
         return self.instance.delete(target, row)
 
-    def _resident_delete(self, target: str, row: Row) -> bool:
-        """Victim marking in the authoritative store: delete the row
-        from its stored ``R_l`` table too, unless it is still
-        pending."""
+    def _resident_delete(self, target: str, rows: Iterable[Row]) -> int:
+        """Victim marking in the authoritative store: delete the rows
+        from their stored ``R_l`` table too, unless still pending — one
+        store transaction and one index epoch for the whole batch.
+        Returns how many rows the system held."""
         store = self._open_resident_store("local deletion")
-        self._pending.get(target, set()).discard(row)
-        present = self.instance.delete(target, row)
-        if (
-            present
-            and store.has_table(target)
-            and store.delete_relation_row(self.catalog[target], row)
-        ):
-            self._removed_leaves.setdefault(target, set()).add(row)
-        return present
+        pending = self._pending.get(target, set())
+        present = []
+        for row in rows:
+            pending.discard(row)
+            if self.instance.delete(target, row):
+                present.append(row)
+        if present and store.has_table(target):
+            found = store.delete_relation_rows(self.catalog[target], present)
+            removed = self._removed_leaves.setdefault(target, set())
+            removed.update(row for row, hit in zip(present, found) if hit)
+        return len(present)
 
     def delete_local_many(
         self, relation: str, rows: Iterable[Sequence[object]]
     ) -> int:
         """Delete a batch of local contributions (see
-        :meth:`delete_local`; on the sqlite engine each victim is
-        marked in SQL, and the call raises if the resident store is
-        closed)."""
-        return sum(self.delete_local(relation, row) for row in rows)
+        :meth:`delete_local`).  On the sqlite engine the victims are
+        marked in SQL in one store transaction with one index epoch,
+        and the call raises if the resident store is closed."""
+        # Local import: repro.storage's package init imports CDSS back.
+        from repro.storage.encoding import canonical_row
+
+        if not self.resident:
+            return sum(self.delete_local(relation, row) for row in rows)
+        if relation not in self.catalog:
+            raise SchemaError(f"unknown relation {relation}")
+        target = relation if is_local_name(relation) else local_name(relation)
+        return self._resident_delete(
+            target, [canonical_row(row) for row in rows]
+        )
 
     def propagate_deletions(self) -> int:
         """Garbage-collect underivable tuples after local deletions.
@@ -609,11 +633,17 @@ class CDSS:
         Python.  Dead ``P_m`` rows are garbage-collected alongside, so
         the stored firing history tracks the surviving derivations.
 
-        On the sqlite engine a *current* reachability index survives the
-        sweep: the kill transaction prunes exactly the dead firings
-        from the index (the fixpoint already computed the live set),
-        whatever the size of the dead cone, so the next graph query
-        answers without a rebuild.  See ``docs/graph-index.md``.
+        On the sqlite engine the store picks the path from what it
+        observes.  When every deletion since the last propagation
+        recorded its roots (the roots marker), the index is current and
+        no deleted row is pending again, only the forward cone of those
+        roots can have died: one recursive CTE loads the cone and the
+        liveness test runs over it alone, so the cost follows the cone,
+        not the store.  Otherwise the full SQL fixpoint re-derives the
+        whole store.  Either way one transaction deletes the dead rows
+        and ``P_m`` rows and prunes exactly the dead firings from a
+        *current* reachability index, so the next graph query answers
+        without a rebuild.  See ``docs/graph-index.md``.
 
         Returns the number of removed tuples; the full statistics
         (``rows_deleted``, ``pm_rows_collected``, ``iterations``,
@@ -733,9 +763,18 @@ class CDSS:
 
     def _store_graph_queries(self, operation: str) -> "StoreGraphQueries":
         """The relational query engine over the pinned resident store
-        (every graph query of a sqlite-engine system dispatches here)."""
+        (every graph query of a sqlite-engine system dispatches here).
+        Refuses with :class:`~repro.errors.ReinsertWindowError` while a
+        local row deleted from the store is pending again: the store
+        lacks that leaf, and its fires were pruned at the delete."""
         from repro.exchange.graph_queries import StoreGraphQueries
 
+        for name, rows in self._removed_leaves.items():
+            if rows & self._pending.get(name, set()):
+                raise ReinsertWindowError(
+                    f"{operation} refused: a row of {name} deleted from "
+                    "the store is pending again; exchange to ship it"
+                )
         store = self._open_resident_store(operation)
         program = self._fetch_program()
         return StoreGraphQueries(

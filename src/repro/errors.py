@@ -66,6 +66,16 @@ class ExchangeError(ReproError):
     an uncompilable rule, store misuse)."""
 
 
+class ReinsertWindowError(ExchangeError):
+    """A sqlite-engine graph query (``lineage``, ``derivability``,
+    ``trusted``) refused while a local row deleted from the store is
+    pending again (inserted, not yet exchanged).  The store pruned the
+    row's fires at the delete and will not hold the row until an
+    exchange ships it, so it cannot answer what the memory engine —
+    whose graph still holds the leaf — would.  The message names the
+    relation; exchange to close the window."""
+
+
 class IndexingError(ReproError):
     """Invalid ASR definition (e.g. overlapping ASRs) or rewrite failure."""
 

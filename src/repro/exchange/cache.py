@@ -36,7 +36,7 @@ from repro.datalog.planner import CompiledRule, compile_program
 from repro.datalog.rules import Program, Rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exchange.reach_index import ReachSQL
+    from repro.exchange.reach_index import ConeSQL, ReachSQL
     from repro.exchange.sql_plans import FixpointSQL
 
 
@@ -81,6 +81,9 @@ class CompiledExchangeProgram:
     #: (:mod:`repro.exchange.reach_index`), attached lazily by the
     #: first sqlite-engine exchange or indexed graph query.
     reach: "ReachSQL | None" = field(default=None, repr=False)
+    #: SQL lowering of the cone path's ``P_m`` collection, attached
+    #: lazily by the first cone-path deletion propagation.
+    cone: "ConeSQL | None" = field(default=None, repr=False)
 
     @property
     def plan_count(self) -> int:

@@ -268,10 +268,10 @@ class StoreGraphQueries:
                     relation: self._seed_live(relation, seeds.get(relation))
                     for relation in fsql.edb_relations
                 }
-            iterations, scanned, _ = run_fixpoint(
-                store, fsql, deltas, rules=rules,
-                max_iterations=max_iterations, tracer=self.tracer,
-            )
+                iterations, scanned, _ = run_fixpoint(
+                    store, fsql, deltas, rules=rules,
+                    max_iterations=max_iterations, tracer=self.tracer,
+                )
             values = {
                 TupleNode(relation, row): live
                 for relation in fsql.relations
@@ -376,10 +376,10 @@ class StoreGraphQueries:
         ):
             with store.connection:
                 seed_rows(store, LINEAGE, node.relation, [encoded])
-            iterations, scanned, _ = run_fixpoint(
-                store, fsql, {node.relation: 1},
-                max_iterations=max_iterations, tracer=self.tracer,
-            )
+                iterations, scanned, _ = run_fixpoint(
+                    store, fsql, {node.relation: 1},
+                    max_iterations=max_iterations, tracer=self.tracer,
+                )
             leaves = frozenset(
                 TupleNode(relation, row)
                 for relation in fsql.edb_relations

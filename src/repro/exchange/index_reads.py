@@ -23,7 +23,10 @@ for exactly that epoch:
 
 One :class:`IndexReadCore` owns the single per-epoch cache (decoded
 nodes keyed by id, the edge set, and a FIFO of finished answers); it
-is dropped whole when the observed epoch moves.
+is dropped whole when the observed epoch moves.  :meth:`IndexReadCore.lookup`
+reads that FIFO without touching any connection, which is how a
+reader that knows nothing was committed since its last snapshot
+answers a repeat query with no statement beyond that check.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.exchange.reach_index import (
     BODY_TABLE,
     FIRE_TABLE,
     REL_SHIFT,
+    ROOT_TABLE,
     load_relnos,
 )
 from repro.provenance.graph import TupleNode
@@ -70,6 +74,19 @@ ANCESTOR_CTE_SQL = (
     "WHERE h.head = anc.id) FROM anc"
 )
 
+#: the forward cone of the roots — the mirror image of
+#: :data:`ANCESTOR_CTE_SQL` — with the fires heading each cone node and
+#: their body nodes: one row per (cone node, fire, body node); a cone
+#: node no fire heads yields one row with a NULL fire.
+CONE_EDGES_SQL = (
+    f"WITH RECURSIVE cone(id) AS (SELECT id FROM {_q(ROOT_TABLE)} UNION "
+    f"SELECT f.head FROM cone AS c JOIN {_q(BODY_TABLE)} AS b "
+    f"ON b.body = c.id JOIN {_q(FIRE_TABLE)} AS f ON f.fid = b.fid) "
+    f"SELECT c.id, f.fid, f.rule, b.body FROM cone AS c "
+    f"LEFT JOIN {_q(FIRE_TABLE)} AS f ON f.head = c.id "
+    f"LEFT JOIN {_q(BODY_TABLE)} AS b ON b.fid = f.fid ORDER BY f.fid"
+)
+
 #: entries kept in the per-epoch query-result cache (FIFO).
 RESULT_CACHE_CAP = 64
 
@@ -82,6 +99,15 @@ EDGES_SQL = (
     f"SELECT f.fid, f.rule, f.head, b.body FROM {_q(FIRE_TABLE)} AS f "
     f"LEFT JOIN {_q(BODY_TABLE)} AS b ON b.fid = f.fid ORDER BY f.fid"
 )
+
+
+#: the cache key of a ``derivability`` query.
+DERIVABILITY_KEY = ("derivability",)
+
+
+def lineage_key(node: TupleNode) -> tuple[object, ...]:
+    """The cache key of a ``lineage`` query on *node*."""
+    return ("lineage", node.relation, tuple(node.values))
 
 
 class Edges(NamedTuple):
@@ -101,14 +127,14 @@ class Edges(NamedTuple):
     incident: dict[int, list[int]]
 
 
-def load_edges(connection: sqlite3.Connection) -> Edges:
-    """The full edge set from any connection — small enough to hold in
-    Python for resident working sets."""
+def _edges_of(rows: Iterable[tuple[int, str, int, int | None]]) -> Edges:
+    """Fold ``(fid, rule, head, body)`` rows, grouped by fid, into an
+    :class:`Edges`."""
     edges = Edges([], [], [], {})
     heads, rules, need, incident = edges
     names: dict[str, str] = {}
     last = None
-    for fid, rule, head, body in connection.execute(EDGES_SQL):
+    for fid, rule, head, body in rows:
         if fid != last:
             last = fid
             heads.append(head)
@@ -118,6 +144,25 @@ def load_edges(connection: sqlite3.Connection) -> Edges:
             need[-1] += 1
             incident.setdefault(body, []).append(len(need) - 1)
     return edges
+
+
+def load_edges(connection: sqlite3.Connection) -> Edges:
+    """The full edge set from any connection — small enough to hold in
+    Python for resident working sets."""
+    return _edges_of(connection.execute(EDGES_SQL))
+
+
+def load_cone(connection: sqlite3.Connection) -> tuple[set[int], Edges]:
+    """The pending cone (every node forward-reachable from a root in
+    ``__ridx_root``, the roots included) and the fires heading its
+    nodes — one statement."""
+    cone: set[int] = set()
+    rows = []
+    for node, fid, rule, body in connection.execute(CONE_EDGES_SQL):
+        cone.add(node)
+        if fid is not None:
+            rows.append((fid, rule, node, body))
+    return cone, _edges_of(rows)
 
 
 def liveness_over_edges(
@@ -247,6 +292,36 @@ class IndexReadCore:
         """The epoch the cache currently holds (None before any query)."""
         return None if self._cache is None else self._cache.epoch
 
+    def lookup(self, epoch: int, key: object) -> IndexAnswer[Any] | None:
+        """The cached answer for *key* at *epoch*, or None — a plain
+        dictionary probe, no SQL.  Keys come from :func:`lineage_key`,
+        :data:`DERIVABILITY_KEY` and :meth:`trusted_key`."""
+        cache = self._cache
+        if cache is None or cache.epoch != epoch:
+            return None
+        return cache.results.get(key)
+
+    def trusted_key(self, policy: "TrustPolicy") -> tuple[object, ...]:
+        """The cache key of a ``trusted`` query under *policy*."""
+        return self._trust_key(policy)[0]
+
+    def _trust_key(
+        self, policy: "TrustPolicy"
+    ) -> tuple[tuple[object, ...], list[tuple[str, Callable[..., Any]]]]:
+        conditions = [
+            (relation, condition)
+            for relation in self.catalog.names()
+            if is_local_name(relation)
+            and (condition := policy.condition_for(relation)) is not None
+        ]
+        key = (
+            "trusted",
+            policy.default_trust,
+            frozenset(policy.distrusted_mappings),
+            tuple(sorted((rel, id(cond)) for rel, cond in conditions)),
+        )
+        return key, conditions
+
     # -- per-epoch state -----------------------------------------------------
 
     def _epoch_cache(
@@ -333,9 +408,7 @@ class IndexReadCore:
         """
         cache = self._epoch_cache(conn, epoch)
         return self._cached(
-            cache,
-            ("lineage", node.relation, tuple(node.values)),
-            lambda: self._lineage(conn, cache, node),
+            cache, lineage_key(node), lambda: self._lineage(conn, cache, node)
         )
 
     def _lineage(
@@ -445,9 +518,7 @@ class IndexReadCore:
         callers hand out copies."""
         cache = self._epoch_cache(conn, epoch)
         return self._cached(
-            cache,
-            ("derivability",),
-            lambda: self._annotate(conn, cache, None),
+            cache, DERIVABILITY_KEY, lambda: self._annotate(conn, cache, None)
         )
 
     def trusted(
@@ -462,18 +533,7 @@ class IndexReadCore:
         closure over mutated state must not be reused across calls.
         """
         cache = self._epoch_cache(conn, epoch)
-        conditions = [
-            (relation, condition)
-            for relation in self.catalog.names()
-            if is_local_name(relation)
-            and (condition := policy.condition_for(relation)) is not None
-        ]
-        key = (
-            "trusted",
-            policy.default_trust,
-            frozenset(policy.distrusted_mappings),
-            tuple(sorted((rel, id(cond)) for rel, cond in conditions)),
-        )
+        key, conditions = self._trust_key(policy)
 
         def compute() -> IndexAnswer[dict[TupleNode, bool]]:
             # The key holds id()s of the conditions; pin the objects

@@ -19,11 +19,11 @@ Design (documented in full in ``docs/graph-index.md``):
   tuple — the hypergraph edge set, one integer row per endpoint
   instead of one wide slot-row join per traversal step;
 * **maintenance** is incremental: after a resident exchange the fresh
-  ``__fired_*`` log rows are translated into new fire/body rows
-  (:meth:`ReachabilityIndex.extend_from_log`); a targeted deletion
-  removes exactly the incident fires; deletion propagation prunes
-  exactly the dead cone its liveness fixpoint computed, whatever its
-  size, set-at-a-time;
+  ``__fired_*`` log rows are translated into new fire/body rows, in the
+  exchange's own transaction; a targeted deletion removes exactly the
+  incident fires and records their heads as the **roots** of the
+  pending cone (``__ridx_root``); deletion propagation prunes exactly
+  the dead set it computed, whatever its size, set-at-a-time;
 * the index **epoch** and state live in the store's ``__meta`` table,
   so a store reopened by path knows whether its index is current;
 * the ancestor test is one recursive-CTE closure over the integer
@@ -43,9 +43,11 @@ from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
+from repro.cdss.mapping import SchemaMapping, provenance_relation_name
 from repro.datalog.planner import CompiledRule
+from repro.datalog.terms import Constant, Variable
 from repro.exchange.sql_plans import (
     EXCHANGE,
     LIVENESS,
@@ -58,6 +60,7 @@ from repro.exchange.sql_plans import (
 )
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
 from repro.relational.instance import Catalog
+from repro.relational.schema import is_local_name
 from repro.storage.encoding import ValueCodec, quote_identifier as _q
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,10 +76,47 @@ REL_SHIFT = 1 << 40
 REL_TABLE = "__ridx_rel"
 FIRE_TABLE = "__ridx_fire"
 BODY_TABLE = "__ridx_body"
+#: heads of the fires targeted deletions pruned since the last
+#: propagation: the roots of the pending cone.
+ROOT_TABLE = "__ridx_root"
+
+#: ``__meta`` key of the roots marker: present while ``__ridx_root``
+#: names every node a deletion since the last propagation may have
+#: left underivable, and every other stored tuple is derivable.
+ROOTS_COMPLETE = "roots_complete"
 
 #: TEMP work tables of deletion pruning (connection-local, emptied by
 #: the maintenance step that fills them), with their one key column.
 _PRUNE_TEMPS = (("__rq_dead", "id"), ("__rq_deadfid", "fid"))
+#: TEMP table of the cone path's ``P_m`` candidates: (``P_m`` table,
+#: rowid) pairs whose firings may all have died.
+PM_CANDIDATES = "__rq_pm"
+
+
+def create_root_table(connection: sqlite3.Connection) -> None:
+    """Create (idempotently) the persisted root table; the caller
+    commits."""
+    connection.execute(
+        f"CREATE TABLE IF NOT EXISTS {_q(ROOT_TABLE)} "
+        "(id INTEGER PRIMARY KEY)"
+    )
+
+
+def create_prune_temps(connection: sqlite3.Connection) -> None:
+    """Create the connection-local work tables of deletion pruning.
+
+    Called when the connection opens, outside any transaction: a TEMP
+    table created inside one would vanish with its rollback."""
+    for name, column in _PRUNE_TEMPS:
+        connection.execute(
+            f"CREATE TEMP TABLE IF NOT EXISTS {_q(name)} "
+            f"({column} INTEGER PRIMARY KEY)"
+        )
+    connection.execute(
+        f"CREATE TEMP TABLE IF NOT EXISTS {_q(PM_CANDIDATES)} "
+        "(pm TEXT NOT NULL, rid INTEGER NOT NULL, PRIMARY KEY (pm, rid)) "
+        "WITHOUT ROWID"
+    )
 
 
 def load_relnos(connection: sqlite3.Connection) -> dict[str, int]:
@@ -171,6 +211,122 @@ def _endpoint_insert(
     return Statement(sql, alloc.params, runtime=("wm", "base", base_param))
 
 
+@dataclass(frozen=True)
+class ConeCollect:
+    """How the cone path garbage-collects one mapping's ``P_m``.
+
+    A ``P_m`` row can only lose its last firing if one of that firing's
+    body tuples died; the firing's ``P_m`` key then agrees with the dead
+    tuple on the atom's key columns.  So the candidates are the rows
+    that match a dead tuple (``__rq_dead``) on some body atom's key
+    columns, and a candidate dies unless the rule body still joins over
+    the stored relations with its key columns bound to the row — the
+    rule of ``CDSS._collected_provenance_rows``.
+    """
+
+    #: per body atom: (relation, candidate rows -> ``__rq_pm``; runtime:
+    #: base, top — the relation's node-id range).
+    candidates: tuple[tuple[str, Statement], ...]
+    #: deletes the candidates no stored firing supports any more.
+    collect: Statement
+
+
+@dataclass(frozen=True)
+class ConeSQL:
+    """SQL lowering of the cone path's ``P_m`` collection."""
+
+    collects: tuple[ConeCollect, ...]
+    #: False when a mapping that stores ``P_m`` reads a local relation:
+    #: a leaf victim leaves the store at its delete, before the cone
+    #: path could match its key columns, so such programs always take
+    #: the full fixpoint.
+    exact: bool
+
+
+def _sql_literal(text: str) -> str:
+    return "'" + text.replace("'", "''") + "'"
+
+
+def _cone_collect(
+    mapping: SchemaMapping, catalog: Catalog, codec: ValueCodec
+) -> ConeCollect:
+    table = provenance_relation_name(mapping.name)
+    pm_columns = {column.variable for column in mapping.provenance_columns}
+    candidates = []
+    for atom in mapping.body:
+        alloc = _ParamAllocator(codec)
+        schema = catalog[atom.relation]
+        on, where = [], []
+        for position in schema.key_positions:
+            term = atom.terms[position]
+            column = f"r.{_q(schema.attribute_names[position])}"
+            if isinstance(term, Variable) and term in pm_columns:
+                on.append(f"p.{_q(term.name)} IS {column}")
+            elif isinstance(term, Constant):
+                where.append(f"{column} IS {alloc.bind(term.value)}")
+        sql = (
+            f"INSERT OR IGNORE INTO {_q(PM_CANDIDATES)} (pm, rid)\n"
+            f"SELECT {_sql_literal(table)}, p.rowid "
+            'FROM "__rq_dead" AS d\n'
+            f"JOIN {_q(atom.relation)} AS r ON r.rowid = d.id - :base\n"
+            f"JOIN {_q(table)} AS p ON {' AND '.join(on) or '1'}\n"
+            "WHERE " + " AND ".join(["d.id >= :base", "d.id < :top", *where])
+        )
+        candidates.append(
+            (atom.relation, Statement(sql, alloc.params, ("base", "top")))
+        )
+    # The survival test: the body joined over the stored relations with
+    # every P_m column bound to the candidate row.
+    alloc = _ParamAllocator(codec)
+    sources, conditions = [], []
+    refs: dict[Variable, str] = {
+        var: f"{_q(table)}.{_q(var.name)}" for var in pm_columns
+    }
+    for number, atom in enumerate(mapping.body):
+        alias = f"a{number}"
+        sources.append(f"{_q(atom.relation)} AS {alias}")
+        names = catalog[atom.relation].attribute_names
+        for name, term in zip(names, atom.terms):
+            column = f"{alias}.{_q(name)}"
+            if isinstance(term, Constant):
+                conditions.append(f"{column} IS {alloc.bind(term.value)}")
+            elif term in refs:
+                conditions.append(f"{column} IS {refs[term]}")
+            else:
+                refs[term] = column
+    sql = (
+        f"DELETE FROM {_q(table)} WHERE rowid IN "
+        f"(SELECT rid FROM {_q(PM_CANDIDATES)} "
+        f"WHERE pm = {_sql_literal(table)})\n"
+        f"AND NOT EXISTS (SELECT 1 FROM {', '.join(sources)}"
+        + (f" WHERE {' AND '.join(conditions)}" if conditions else "")
+        + ")"
+    )
+    return ConeCollect(tuple(candidates), Statement(sql, alloc.params))
+
+
+def lower_cone_program(
+    mappings: Mapping[str, SchemaMapping],
+    catalog: Catalog,
+    codec: ValueCodec,
+) -> ConeSQL:
+    """Lower the cone path's ``P_m`` collection for every mapping that
+    stores provenance (mappings in name order)."""
+    stored = [
+        mappings[name]
+        for name in sorted(mappings)
+        if mappings[name].stores_provenance
+    ]
+    return ConeSQL(
+        tuple(_cone_collect(mapping, catalog, codec) for mapping in stored),
+        exact=not any(
+            is_local_name(atom.relation)
+            for mapping in stored
+            for atom in mapping.body
+        ),
+    )
+
+
 def lower_reach_program(
     compiled: Sequence[CompiledRule],
     catalog: Catalog,
@@ -246,7 +402,6 @@ class ReachabilityIndex:
         self.store = store
         self._relnos: dict[str, int] = {}
         self._schema_ready = False
-        self._temps_ready = False
         #: the writer's read core (built by ``StoreGraphQueries``, kept
         #: here so its per-epoch caches outlive the per-query objects).
         self.read_core: "IndexReadCore | None" = None
@@ -270,10 +425,19 @@ class ReachabilityIndex:
     def current(self) -> bool:
         return self.state == "current"
 
-    def mark_stale(self) -> None:
-        """Persist that the index no longer matches the store."""
-        if self.store.meta_get("index_state") != "stale":
-            self.store.meta_set("index_state", "stale")
+    @property
+    def roots_complete(self) -> bool:
+        """True while the roots marker is set: deletion propagation may
+        then walk the pending cone instead of the whole store."""
+        return bool(self.store.meta_get(ROOTS_COMPLETE))
+
+    def set_roots_complete(self, complete: bool) -> None:
+        """Set or remove the roots marker (rides the caller's
+        transaction, if one is open)."""
+        if complete:
+            self.store.meta_set(ROOTS_COMPLETE, 1)
+        else:
+            self.store.meta_delete(ROOTS_COMPLETE)
 
     def _bump_epoch(self) -> None:
         self.store.meta_set("index_epoch", self.epoch + 1)
@@ -337,16 +501,6 @@ class ReachabilityIndex:
     def _load_relnos(self) -> None:
         self._relnos.update(load_relnos(self.store.connection))
 
-    def _ensure_temps(self) -> None:
-        if self._temps_ready:
-            return
-        for name, column in _PRUNE_TEMPS:
-            self.store.connection.execute(
-                f"CREATE TEMP TABLE IF NOT EXISTS {_q(name)} "
-                f"({column} INTEGER PRIMARY KEY)"
-            )
-        self._temps_ready = True
-
     def relno(self, relation: str) -> int | None:
         """The relation's persistent number, or None if unregistered."""
         if relation not in self._relnos:
@@ -376,7 +530,8 @@ class ReachabilityIndex:
         was_current: bool,
         tracer: "Tracer | NullTracer" = NULL_TRACER,
     ) -> None:
-        """Bring the index up to date after a successful resident run.
+        """Bring the index up to date at the end of a resident run, in
+        the run's own transaction (the caller owns it).
 
         *full_log* says the run was seeded from the whole store (its
         ``__fired_*`` logs are the complete firing history — the run
@@ -390,13 +545,11 @@ class ReachabilityIndex:
         with tracer.span("index.maintain") as span:
             if full_log:
                 mode = "replace"
-                with self.store.connection:
-                    self._clear_content()
-                    fires = self._extend_from_log(rsql)
+                self._clear_content()
+                fires = self._extend_from_log(rsql)
             elif was_current:
                 mode = "extend"
-                with self.store.connection:
-                    fires = self._extend_from_log(rsql)
+                fires = self._extend_from_log(rsql)
             else:
                 mode = "rebuild"
                 fires = self.rebuild_from_store(rsql)
@@ -450,49 +603,50 @@ class ReachabilityIndex:
 
     def rebuild_from_store(self, rsql: ReachSQL) -> int:
         """Rebuild the whole index by re-enumerating the firing history
-        from the stored relations (one transaction).  The ``__fired_*``
-        logs are borrowed as scratch and left empty."""
+        from the stored relations (the caller owns the transaction).
+        The ``__fired_*`` logs are borrowed as scratch and left empty."""
         conn = self.store.connection
-        with conn:
-            for rule in rsql.rules:
-                conn.execute(f"DELETE FROM {_q(rule.firing_table)}")
-                conn.execute(
-                    rule.enumerate_all.sql, dict(rule.enumerate_all.params)
-                )
-            self._clear_content()
-            fires = self._extend_from_log(rsql)
-            for rule in rsql.rules:
-                conn.execute(f"DELETE FROM {_q(rule.firing_table)}")
+        for rule in rsql.rules:
+            conn.execute(f"DELETE FROM {_q(rule.firing_table)}")
+            conn.execute(
+                rule.enumerate_all.sql, dict(rule.enumerate_all.params)
+            )
+        self._clear_content()
+        fires = self._extend_from_log(rsql)
+        for rule in rsql.rules:
+            conn.execute(f"DELETE FROM {_q(rule.firing_table)}")
         return fires
 
     def rebuild(
         self, rsql: ReachSQL, tracer: "Tracer | NullTracer" = NULL_TRACER
     ) -> int:
         """Query-time recovery: rebuild a stale/absent index from the
-        stored firing history and mark it current (the ``index.rebuild``
-        span brackets the work).  Queries answer over the store as it
-        stands — the same window the unindexed paths see — so this is
-        always safe, even over a dirty (aborted-run) store."""
-        with tracer.span("index.rebuild") as span:
+        stored firing history and mark it current, in one transaction
+        (the ``index.rebuild`` span brackets the work).  Queries answer
+        over the store as it stands — the same window the unindexed
+        paths see — so this is always safe."""
+        with tracer.span("index.rebuild") as span, self.store.connection:
             fires = self.rebuild_from_store(rsql)
             self._finalize_epoch()
             span.set("fires", fires)
         return fires
 
-    def on_row_deleted(self, relation: str, rowid: int) -> None:
-        """Targeted maintenance for one deleted stored row (caller
-        supplies the transaction and has checked :meth:`maintains`): a
-        one-node prune.  Removes the fires incident to the node — they
-        reference a tuple that no longer exists, so the unindexed join
-        paths would not enumerate them either — and bumps the epoch."""
-        self._ensure_temps()
+    def on_rows_deleted(self, relation: str, rowids: Sequence[int]) -> None:
+        """Targeted maintenance for deleted stored rows of one relation
+        (caller supplies the transaction — the one that deleted them —
+        and has checked :meth:`maintains`).  Removes the fires incident
+        to the nodes — they reference tuples that no longer exist, so
+        the unindexed join paths would not enumerate them either —
+        records those fires' surviving heads as roots of the pending
+        cone, and bumps the epoch once."""
         conn = self.store.connection
+        base = self.id_base(relation)
         conn.execute('DELETE FROM "__rq_dead"')
-        conn.execute(
-            'INSERT INTO "__rq_dead" VALUES (?)',
-            (self.id_base(relation) + rowid,),
+        conn.executemany(
+            'INSERT OR IGNORE INTO "__rq_dead" VALUES (?)',
+            [(base + rowid,) for rowid in rowids],
         )
-        self.finish_prune()
+        self.finish_prune(record_roots=True)
 
     def begin_prune(
         self, derived_relations: Iterable[str], catalog: Catalog
@@ -501,7 +655,6 @@ class ReachabilityIndex:
         kill transaction, *before* the kill sweeps run): every stored
         row with no live-set match goes into ``__rq_dead`` as a node
         id.  Leaf victims were already cleaned per-delete."""
-        self._ensure_temps()
         conn = self.store.connection
         conn.execute('DELETE FROM "__rq_dead"')
         for relation in derived_relations:
@@ -519,13 +672,14 @@ class ReachabilityIndex:
                 f"{_q(LIVENESS.target + relation)} AS l WHERE {match})"
             )
 
-    def finish_prune(self) -> None:
+    def finish_prune(self, record_roots: bool = False) -> None:
         """Delete every fire with a head or body node in ``__rq_dead``
         (same transaction as whatever killed those nodes), leave both
         work tables empty, and bump the epoch if any node was named.
-        Exact whatever the cone's size, no cascade: the liveness
-        fixpoint computed the full live set, so every fire not
-        incident to a dead node has all endpoints alive."""
+        Exact whatever the cone's size, no cascade: after a targeted
+        deletion the heads left behind are recorded as roots
+        (*record_roots*); after a propagation every fire not incident
+        to a dead node has all endpoints alive."""
         conn = self.store.connection
         if conn.execute('SELECT 1 FROM "__rq_dead" LIMIT 1').fetchone() is None:
             return
@@ -537,6 +691,13 @@ class ReachabilityIndex:
             f'SELECT fid FROM {_q(BODY_TABLE)} '
             'WHERE body IN (SELECT id FROM "__rq_dead")'
         )
+        if record_roots:
+            conn.execute(
+                f"INSERT OR IGNORE INTO {_q(ROOT_TABLE)} "
+                f"SELECT head FROM {_q(FIRE_TABLE)} "
+                'WHERE fid IN (SELECT fid FROM "__rq_deadfid") '
+                'AND head NOT IN (SELECT id FROM "__rq_dead")'
+            )
         for table in (FIRE_TABLE, BODY_TABLE):
             conn.execute(
                 f"DELETE FROM {_q(table)} "

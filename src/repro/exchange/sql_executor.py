@@ -7,7 +7,7 @@ of enumerating candidate rows in Python.  :func:`run_fixpoint` is the
 one round driver; it runs all three lowerings of
 :mod:`repro.exchange.sql_plans` — update exchange, the liveness test
 of deletion propagation and the unindexed graph queries, and the
-backward lineage walk.  One round, in one transaction:
+backward lineage walk.  One round (inside the caller's transaction):
 
 1. every trigger whose relation has a non-empty delta fires as one
    ``INSERT INTO <firing table> SELECT DISTINCT ...`` join;
@@ -38,15 +38,30 @@ from __future__ import annotations
 import os
 import sqlite3
 from contextlib import contextmanager
-from typing import Iterator, Mapping as TMapping, MutableMapping, Sequence
+from typing import Iterator, Mapping as TMapping, Sequence
 
 from repro.cdss.mapping import SchemaMapping
 from repro.datalog.evaluation import EvaluationResult
 from repro.datalog.terms import SkolemValue
 from repro.errors import EvaluationError, ExchangeError, StorageError
 from repro.exchange.cache import CompiledExchangeProgram
-from repro.exchange.index_reads import PreparedSQL
-from repro.exchange.reach_index import ReachabilityIndex, lower_reach_program
+from repro.exchange.index_reads import (
+    PreparedSQL,
+    liveness_over_edges,
+    load_cone,
+)
+from repro.exchange.reach_index import (
+    PM_CANDIDATES,
+    REL_SHIFT,
+    ROOT_TABLE,
+    ROOTS_COMPLETE,
+    ReachabilityIndex,
+    create_prune_temps,
+    create_root_table,
+    load_relnos,
+    lower_cone_program,
+    lower_reach_program,
+)
 from repro.exchange.sql_plans import (
     EXCHANGE,
     LIVENESS,
@@ -71,16 +86,18 @@ from repro.storage.encoding import ValueCodec, quote_identifier as _q
 BUSY_TIMEOUT_MS = 5_000
 
 #: layout version of a store file, persisted in ``__meta`` as
-#: ``store_format``.  A file carrying another number is refused on
-#: open; there is no migration code.
-STORE_FORMAT = 1
+#: ``store_format``.  Format 2 added the pending cone's root table
+#: (``__ridx_root``) and dropped the dirty-run flag; the writer
+#: migrates a format-1 (or unstamped) file on open, and any other
+#: number is refused.
+STORE_FORMAT = 2
 
 
 def check_store_format(value: object, path: str) -> None:
     """Refuse a store whose ``__meta`` ``store_format`` is not
-    :data:`STORE_FORMAT` (None — a file that predates the stamp — is
-    the current layout)."""
-    if value is not None and value != STORE_FORMAT:
+    :data:`STORE_FORMAT` (readers; the writer migrates a format-1 file
+    before it checks)."""
+    if value != STORE_FORMAT:
         raise StorageError(
             f"{path} has store format {value!r}; this version reads "
             f"format {STORE_FORMAT} only"
@@ -157,6 +174,7 @@ class ExchangeStore:
         self.connection.create_function(
             "repro_skolem", -1, _skolem_function(self.codec), deterministic=True
         )
+        create_prune_temps(self.connection)
         self.closed = False
         self._durable = False
         self._known_tables: set[str] = set()
@@ -174,22 +192,45 @@ class ExchangeStore:
         #: index-read statements on this connection.
         self.prepared = PreparedSQL()
         self._reach_index: ReachabilityIndex | None = None
-        # The dirty-run flag lives in the database file, not on this
-        # object: an aborted resident run must still trigger recovery
-        # after the store is reopened by path (or in a new process).
-        self.connection.execute(
-            'CREATE TABLE IF NOT EXISTS "__meta" (key TEXT PRIMARY KEY, value)'
-        )
-        self.connection.commit()
-        store_format = self.meta_get("store_format")
         try:
-            check_store_format(store_format, self.path)
-        except StorageError:
+            self._open_layout()
+        except BaseException:
             self.connection.close()
             raise
-        if store_format is None:
-            self.meta_set("store_format", STORE_FORMAT)
-        self._dirty_run = bool(self.meta_get("dirty_run"))
+
+    def _open_layout(self) -> None:
+        """Stamp a fresh file, migrate a format-1 (or unstamped) one,
+        and refuse any other format.
+
+        A fresh file gets the root table and the roots marker: it holds
+        nothing, so no deletion is pending.  A migrated file gets the
+        root table without the marker — the deletions made before it
+        recorded no roots — so its first propagation runs the full
+        fixpoint.  A format-1 file whose dirty-run flag is set holds
+        the committed rounds of an aborted run, which format 2 has no
+        recovery for: it is refused."""
+        conn = self.connection
+        fresh = conn.execute("SELECT 1 FROM sqlite_master LIMIT 1").fetchone() is None
+        with conn:
+            conn.execute(
+                'CREATE TABLE IF NOT EXISTS "__meta" '
+                "(key TEXT PRIMARY KEY, value)"
+            )
+            store_format = self.meta_get("store_format")
+            if fresh or store_format in (None, 1):
+                if self.meta_get("dirty_run"):
+                    raise StorageError(
+                        f"{self.path} has store format 1 and an aborted "
+                        "exchange run (dirty_run is set); this version "
+                        "cannot recover it"
+                    )
+                create_root_table(conn)
+                self.meta_delete("dirty_run")
+                self.meta_set("store_format", STORE_FORMAT)
+                if fresh:
+                    self.meta_set(ROOTS_COMPLETE, 1)
+            else:
+                check_store_format(store_format, self.path)
 
     def ensure_durable(self) -> None:
         """Trade write speed for crash safety before an exchange run.
@@ -199,10 +240,10 @@ class ExchangeStore:
         loads from a memory-engine system.  An exchange store is the
         only copy of the derived data, so an on-disk one is switched to
         WAL with ``synchronous = NORMAL`` — a killed process can then
-        never corrupt the file, and WAL's append ordering guarantees the
-        dirty-run flag (committed before any fixpoint round) reaches
-        disk no later than the rounds it covers.  In-memory stores die
-        with the process regardless; they keep the fast settings.
+        never corrupt the file, and each exchange, targeted deletion
+        and propagation is one transaction that lands whole or not at
+        all.  In-memory stores die with the process regardless; they
+        keep the fast settings.
         """
         if self._durable or self.path == ":memory:":
             return
@@ -242,20 +283,6 @@ class ExchangeStore:
         ).fetchone()
         return (int(row[0]), int(row[1]), int(row[2]))
 
-    @property
-    def dirty_run(self) -> bool:
-        """True while an engine run is in flight (persisted in the
-        store file).  A run that aborts leaves it set, telling the next
-        resident run to re-seed from the full store extension —
-        committed partial rounds cannot be rolled back, only
-        completed — even across a close/reopen of an on-disk store."""
-        return self._dirty_run
-
-    @dirty_run.setter
-    def dirty_run(self, value: bool) -> None:
-        self._dirty_run = bool(value)
-        self.meta_set("dirty_run", 1 if value else 0)
-
     def meta_get(self, key: str) -> object:
         """One value from the store's persisted ``__meta`` table (None
         when absent).  This is durable, per-store-file state: a store
@@ -272,12 +299,22 @@ class ExchangeStore:
         open transaction the write rides it (so e.g. an index-epoch
         bump commits or rolls back atomically with the maintenance that
         caused it); outside one it commits immediately."""
-        sql = 'INSERT OR REPLACE INTO "__meta" (key, value) VALUES (?, ?)'
+        self._meta_write(
+            'INSERT OR REPLACE INTO "__meta" (key, value) VALUES (?, ?)',
+            (key, value),
+        )
+
+    def meta_delete(self, key: str) -> None:
+        """Remove one ``__meta`` value (transaction-aware, as
+        :meth:`meta_set`)."""
+        self._meta_write('DELETE FROM "__meta" WHERE key = ?', (key,))
+
+    def _meta_write(self, sql: str, params: tuple[object, ...]) -> None:
         if self.connection.in_transaction:
-            self.connection.execute(sql, (key, value))
+            self.connection.execute(sql, params)
         else:
             with self.connection:
-                self.connection.execute(sql, (key, value))
+                self.connection.execute(sql, params)
 
     @property
     def reach_index(self) -> ReachabilityIndex:
@@ -397,11 +434,11 @@ class ExchangeStore:
     def reset_work_tables(self, catalog: Catalog, fsql: FixpointSQL) -> None:
         """Empty every work table a run of *fsql* may fill (the
         candidate stages of relations no follow-up fills stay empty
-        by construction and are skipped)."""
-        with self.connection:
-            for name, _columns, filled in fsql.work_tables(catalog):
-                if filled:
-                    self.connection.execute(f"DELETE FROM {_q(name)}")
+        by construction and are skipped); the caller owns the
+        transaction."""
+        for name, _columns, filled in fsql.work_tables(catalog):
+            if filled:
+                self.connection.execute(f"DELETE FROM {_q(name)}")
 
     @contextmanager
     def work_tables(
@@ -416,47 +453,39 @@ class ExchangeStore:
         ancestor closures can rival the instance in size and must not
         linger on disk."""
         self.ensure_schema(catalog, mappings, fsql, token)
-        self.reset_work_tables(catalog, fsql)
+        with self.connection:
+            self.reset_work_tables(catalog, fsql)
         try:
             yield
         finally:
-            self.reset_work_tables(catalog, fsql)
+            with self.connection:
+                self.reset_work_tables(catalog, fsql)
 
     def ship_local_rows(
-        self, catalog: Catalog, pending: MutableMapping[str, set[Row]]
+        self, catalog: Catalog, pending: TMapping[str, set[Row]]
     ) -> dict[str, list[tuple[object, ...]]]:
-        """Insert the *pending* local rows into their ``R_l`` tables in
-        one transaction, then empty *pending*: once the rows are
-        committed they are the store's, and a run that aborts later
-        must not ship them again.  Relations go in catalog order, rows
-        sorted by ``repr`` (deterministic even for rows mixing value
-        types that do not compare).  Returns the encoded rows per
-        relation, for the caller's delta seed."""
+        """Insert the *pending* local rows into their ``R_l`` tables,
+        inside the caller's run transaction: the rows become the
+        store's only when the whole run commits, so the caller empties
+        *pending* (and moves the count cache) after the commit.
+        Relations go in catalog order, rows sorted by ``repr``
+        (deterministic even for rows mixing value types that do not
+        compare).  Returns the encoded rows per relation, for the
+        caller's delta seed."""
         shipped: dict[str, list[tuple[object, ...]]] = {}
-        with self.connection:
-            for name in catalog.names():
-                rows = pending.get(name)
-                if not rows:
-                    continue
-                encoded = [
-                    self.codec.encode_row(row) for row in sorted(rows, key=repr)
-                ]
-                placeholders = ", ".join("?" for _ in encoded[0])
-                self.connection.executemany(
-                    f"INSERT INTO {_q(name)} VALUES ({placeholders})", encoded
-                )
-                shipped[name] = encoded
-        for name, encoded in shipped.items():
-            self.note_rows_added(name, len(encoded))
-        pending.clear()
+        for name in catalog.names():
+            rows = pending.get(name)
+            if not rows:
+                continue
+            encoded = [
+                self.codec.encode_row(row) for row in sorted(rows, key=repr)
+            ]
+            placeholders = ", ".join("?" for _ in encoded[0])
+            self.connection.executemany(
+                f"INSERT INTO {_q(name)} VALUES ({placeholders})", encoded
+            )
+            shipped[name] = encoded
         return shipped
-
-    def forget_counts(self) -> None:
-        """Forget the cached row counts: the next :meth:`cached_count`
-        of each relation rescans it.  Called when a run aborts: rounds
-        that committed before the abort added rows that
-        :meth:`note_rows_added` never counted."""
-        self._row_counts.clear()
 
     def cached_count(self, relation: str) -> int:
         """Rows in *relation*, from the count cache kept current by
@@ -483,36 +512,53 @@ class ExchangeStore:
                 0, self._row_counts[relation] - removed
             )
 
-    def delete_relation_row(self, schema: RelationSchema, row: Row) -> bool:
-        """Delete one row from *schema*'s table (deletion-victim
-        marking), keeping the count cache current.
+    def delete_relation_rows(
+        self, schema: RelationSchema, rows: Sequence[Row]
+    ) -> list[bool]:
+        """Delete *rows* from *schema*'s table (deletion-victim
+        marking) in one transaction, keeping the count cache current;
+        returns, per row, whether the store held it.
 
         When the maintained reachability index is current and covers
-        the relation, the victim's incident fires are removed in the
-        same transaction (``docs/graph-index.md``), so the index stays
-        *current* across targeted resident deletions — queries issued
-        before ``propagate_deletions`` answer from it without a
-        rebuild, over exactly the store the unindexed paths would see.
+        the relation, the victims' incident fires are removed in the
+        same transaction and their heads recorded as roots of the
+        pending cone (``docs/graph-index.md``), with one epoch bump for
+        the batch — so the index stays *current* across targeted
+        resident deletions: queries issued before
+        ``propagate_deletions`` answer from it without a rebuild, over
+        exactly the store the unindexed paths would see.  A deletion
+        the index cannot follow removes the roots marker instead, so
+        the next propagation runs the full fixpoint.
         """
         condition = " AND ".join(
             f"{_q(c)} IS ?" for c in schema.attribute_names
         )
+        sql = f"DELETE FROM {_q(schema.name)} WHERE {condition} RETURNING rowid"
+        found: list[bool] = []
+        rowids: list[int] = []
         with self.connection:
-            rowids = [
-                int(rowid)
-                for (rowid,) in self.connection.execute(
-                    f"DELETE FROM {_q(schema.name)} WHERE {condition} "
-                    "RETURNING rowid",
-                    self.codec.encode_row(row),
-                )
-            ]
-            index = self.reach_index
-            if rowids and index.maintains(schema.name):
-                for rowid in rowids:
-                    index.on_row_deleted(schema.name, rowid)
+            for row in rows:
+                deleted = [
+                    int(rowid)
+                    for (rowid,) in self.connection.execute(
+                        sql, self.codec.encode_row(row)
+                    )
+                ]
+                found.append(bool(deleted))
+                rowids += deleted
+            if rowids:
+                index = self.reach_index
+                if index.maintains(schema.name):
+                    index.on_rows_deleted(schema.name, rowids)
+                else:
+                    index.set_roots_complete(False)
         if rowids:
             self.note_rows_removed(schema.name, len(rowids))
-        return bool(rowids)
+        return found
+
+    def delete_relation_row(self, schema: RelationSchema, row: Row) -> bool:
+        """:meth:`delete_relation_rows` for one row."""
+        return self.delete_relation_rows(schema, [row])[0]
 
     def relation_rows(self, schema: RelationSchema) -> set[Row]:
         """Decode the store's extension of one relation (tests and
@@ -626,8 +672,9 @@ def run_fixpoint(
     its follow-ups only in rounds where one of its triggers ran, only
     relations that received candidates are staged, and only non-empty
     deltas are cleared; row counts come from the statements' own
-    ``rowcount``.  Each round is one transaction under the instance's
-    round span.
+    ``rowcount``.  Each round runs under the instance's round span; the
+    caller owns the transaction (an exchange commits once, with its
+    index maintenance).
 
     Returns ``(rounds, firings, rows added per target relation)``.
     """
@@ -644,7 +691,7 @@ def run_fixpoint(
                 f"{kind.label} did not converge within {max_iterations} "
                 "iterations"
             )
-        with tracer.span(kind.round_span) as round_span, conn:
+        with tracer.span(kind.round_span) as round_span:
             fresh: list[tuple[FixpointRule, int]] = []
             round_firings = 0
             for rule in rules:
@@ -739,19 +786,23 @@ class SQLiteExchangeEngine:
         catalog: Catalog,
         mappings: TMapping[str, SchemaMapping],
         instance: Instance,
-        pending: MutableMapping[str, set[Row]],
+        pending: TMapping[str, set[Row]],
         incremental: bool = False,
         max_iterations: int | None = None,
     ) -> EvaluationResult:
-        """Semi-naive SQL fixpoint over the store.
+        """Semi-naive SQL fixpoint over the store, in one transaction.
 
-        First ships the *pending* local rows — the ones the store has
-        not seen — into their ``R_l`` tables and empties *pending*
+        Ships the *pending* local rows — the ones the store has not
+        seen — into their ``R_l`` tables
         (:meth:`ExchangeStore.ship_local_rows`).  An *incremental* run
         then seeds its delta with exactly those rows, as
         :func:`repro.datalog.evaluation.evaluate` seeds its
         ``initial_delta``; otherwise the run seeds from the whole
-        store.
+        store.  The rounds and the reachability index's maintenance
+        follow, and everything commits together: a run that raises
+        leaves the store exactly as it was, its index current at the
+        old epoch, and *pending* untouched — the caller empties it
+        after this returns.
 
         The store is the authoritative home of every derived relation:
         neither derived tuples nor provenance derivations are
@@ -759,61 +810,41 @@ class SQLiteExchangeEngine:
         relational), so the working set never has to fit in memory.
         *instance* only labels the returned result.
         """
+        store = self.store
         if program.sql is None:
             program.sql = lower_program(
-                program.compiled, catalog, mappings, self.store.codec
+                program.compiled, catalog, mappings, store.codec
             )
         sql = program.sql
-        self.store.ensure_durable()
-        self.store.ensure_schema(catalog, mappings, sql, program.fingerprint)
-        self.store.reset_work_tables(catalog, sql)
-        if self.store.dirty_run:
-            # A previous run aborted after committing some rounds.
-            # Those orphan rows are sound (each committed round derives
-            # only valid tuples) but their downstream consequences may
-            # be missing, and an incremental delta would dedup them
-            # away before re-deriving anything — so re-seed from the
-            # full store extension, which converges to the complete
-            # fixpoint regardless of what partially committed.
-            incremental = False
-        self.store.dirty_run = True
-        # Every run maintains the reachability index: note whether it
-        # matched the store *before* this run mutates anything, then
-        # persist the stale mark — a crash anywhere below leaves the
-        # index correctly marked for a query-time rebuild.
         if program.reach is None:
             program.reach = lower_reach_program(
-                program.compiled, catalog, self.store.codec
+                program.compiled, catalog, store.codec
             )
-        index = self.store.reach_index
+        store.ensure_durable()
+        store.ensure_schema(catalog, mappings, sql, program.fingerprint)
+        index = store.reach_index
         index.ensure_schema(program.reach)
+        # Whether the index matched the store before this run: the
+        # incremental logs are then exactly the new firings.
         was_current = index.current
-        index.mark_stale()
-        try:
-            with StatementTrace(
-                self.store.connection, self.tracer
-            ) as stmt_trace:
-                result = self._ship_and_run(
-                    sql,
-                    catalog,
-                    instance,
-                    pending,
-                    incremental,
-                    max_iterations,
-                    stmt_trace,
+        with StatementTrace(store.connection, self.tracer) as stmt_trace:
+            with store.connection:
+                store.reset_work_tables(catalog, sql)
+                result, shipped, added = self._ship_and_run(
+                    sql, catalog, instance, pending, incremental,
+                    max_iterations, stmt_trace,
                 )
-        except BaseException:
-            # Committed rounds added rows the count cache never saw.
-            # dirty_run stays set for the recovery above.
-            self.store.forget_counts()
-            raise
-        index.on_run_complete(
-            program.reach,
-            full_log=not incremental,
-            was_current=was_current,
-            tracer=self.tracer,
-        )
-        self.store.dirty_run = False
+                index.on_run_complete(
+                    program.reach,
+                    full_log=not incremental,
+                    was_current=was_current,
+                    tracer=self.tracer,
+                )
+        # Committed: only now does the count cache move.
+        for relation, rows in shipped.items():
+            store.note_rows_added(relation, len(rows))
+        for relation, count in added.items():
+            store.note_rows_added(relation, count)
         return result
 
     def _ship_and_run(
@@ -821,28 +852,35 @@ class SQLiteExchangeEngine:
         sql: FixpointSQL,
         catalog: Catalog,
         instance: Instance,
-        pending: MutableMapping[str, set[Row]],
+        pending: TMapping[str, set[Row]],
         incremental: bool,
         max_iterations: int | None,
         stmt_trace: StatementTrace,
-    ) -> EvaluationResult:
+    ) -> tuple[
+        EvaluationResult, dict[str, list[tuple[object, ...]]], dict[str, int]
+    ]:
         tracer = self.tracer
+        store = self.store
         result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
+        # Derived relations live in the store alone, so their sizes
+        # come from its count cache, never a rescan — read before the
+        # shipping, which the cache learns of only at the commit.
+        rel_counts = {
+            relation: store.cached_count(relation)
+            for relation in sql.relations
+        }
         with tracer.span("exchange.mirror") as mspan:
-            shipped = self.store.ship_local_rows(catalog, pending)
+            shipped = store.ship_local_rows(catalog, pending)
             result.rows_mirrored = sum(len(rows) for rows in shipped.values())
             result.relations_synced = len(shipped)
             mspan.set("rows", result.rows_mirrored).set(
                 "relations", result.relations_synced
             )
-        # Derived relations live in the store alone, so their sizes
-        # come from its count cache, never a rescan.
-        rel_counts = {
-            relation: self.store.cached_count(relation)
-            for relation in sql.relations
-        }
+        for relation, rows in shipped.items():
+            if relation in rel_counts:
+                rel_counts[relation] += len(rows)
         result.iterations, result.firings, added = run_fixpoint(
-            self.store,
+            store,
             sql,
             self._seed_deltas(sql, shipped if incremental else None),
             sizes=rel_counts,
@@ -850,10 +888,8 @@ class SQLiteExchangeEngine:
             tracer=tracer,
         )
         stmt_trace.add_rows(result.firings)
-        for relation, count in added.items():
-            self.store.note_rows_added(relation, count)
         result.inserted = sum(added.values())
-        return result
+        return result, shipped, added
 
     def propagate_deletions(
         self,
@@ -867,29 +903,155 @@ class SQLiteExchangeEngine:
         """Relational deletion propagation (Q5) inside the store.
 
         Runs after deletion victims were removed from the ``R_l``
-        tables (:meth:`ExchangeStore.delete_relation_row`) and writes
-        no ``R_l`` row itself.  The live set starts from the stored
-        ``R_l`` rows plus *reinserted*: pending local rows that were
-        exchanged, deleted from the store and inserted again, with no
-        propagation in between at which they were absent.  The memory
-        engine's graph still holds them as live leaves.  Other pending
-        rows seed nothing: the memory engine never recorded their
-        firings either.  The liveness fixpoint then re-runs the
-        DERIVABILITY test over the firing history — every relation's
-        *live* set grows semi-naively from the surviving
-        EDB leaves through the rule bodies, so a tuple is killed
-        exactly when every firing producing it has a killed antecedent
-        (and, because liveness is the *least* fixpoint, cyclically
-        self-supporting derivations with no surviving base die too,
-        matching the graph engine's Kleene iteration).  Unsupported
-        rows are then deleted set-at-a-time and the dead ``P_m`` rows
-        garbage-collected, so the firing history stops retaining
-        graph-collected derivations.
+        tables (:meth:`ExchangeStore.delete_relation_rows`, which also
+        recorded the heads of their pruned fires as roots) and writes
+        no ``R_l`` row itself.  Two paths compute the same dead set,
+        chosen by what the store shows:
+
+        * **cone** — when the roots marker is set, the index is current,
+          *reinserted* is empty and the program's ``P_m`` collection
+          can match dead tuples (:class:`~repro.exchange.reach_index.ConeSQL`).
+          Before the deletions every stored tuple was derivable, so a
+          tuple outside the roots' forward cone keeps a derivation that
+          avoids every victim.  One recursive CTE loads the cone and
+          the fires heading its nodes; the liveness worklist
+          (:func:`~repro.exchange.index_reads.liveness_over_edges`)
+          runs over them with every body node outside the cone as a
+          seed, and the dead set is the cone minus the live set.  The
+          cost follows the cone, not the store.
+        * **full** — otherwise: the DERIVABILITY test re-runs over the
+          whole firing history as the ``LIVENESS`` instance of
+          :func:`run_fixpoint`.  The live set starts from the stored
+          ``R_l`` rows plus *reinserted*: pending local rows that were
+          exchanged, deleted from the store and inserted again, with no
+          propagation in between at which they were absent.  The
+          memory engine's graph still holds them as live leaves; other
+          pending rows seed nothing, since the memory engine never
+          recorded their firings either.  Because liveness is the
+          *least* fixpoint, cyclically self-supporting derivations
+          with no surviving base die too, matching the graph engine's
+          Kleene iteration.
+
+        Either way unsupported rows are deleted set-at-a-time, the dead
+        ``P_m`` rows garbage-collected, the index pruned and the roots
+        cleared, in one transaction.  The roots marker is set
+        afterwards — unless *reinserted* was non-empty: the store then
+        keeps tuples that only a pending row supports, and the next
+        propagation must run the full fixpoint again.
 
         Returns an :class:`EvaluationResult` with ``rows_deleted`` /
         ``pm_rows_collected`` / ``iterations`` filled in.  Nothing is
-        materialized in Python — the working set stays out-of-core.
+        materialized in Python beyond the cone — the working set stays
+        out-of-core.
         """
+        store = self.store
+        index = store.reach_index
+        if program.cone is None:
+            program.cone = lower_cone_program(mappings, catalog, store.codec)
+        cone_path = (
+            not any(reinserted.values())
+            and program.cone.exact
+            and index.current
+            and index.roots_complete
+        )
+        result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
+        if cone_path:
+            removed_counts = self._propagate_cone(program, catalog, result)
+        else:
+            removed_counts = self._propagate_full(
+                program, catalog, mappings, reinserted, max_iterations, result
+            )
+        # The count cache moves only after the kill transaction commits
+        # (a rollback must leave it describing the uncut tables).
+        for relation, removed in removed_counts.items():
+            store.note_rows_removed(relation, removed)
+        result.rows_deleted = sum(removed_counts.values())
+        return result
+
+    def _propagate_cone(
+        self,
+        program: CompiledExchangeProgram,
+        catalog: Catalog,
+        result: EvaluationResult,
+    ) -> dict[str, int]:
+        """The cone path of :meth:`propagate_deletions`."""
+        store = self.store
+        conn = store.connection
+        index = store.reach_index
+        with self.tracer.span("deletion.fixpoint") as fspan:
+            cone, edges = load_cone(conn)
+            live, result.pm_rows_scanned = liveness_over_edges(
+                edges, [node for node in edges.incident if node not in cone]
+            )
+            dead = sorted(cone - live)
+            result.iterations = 1
+            fspan.set("path", "cone").set("cone", len(cone)).set(
+                "rounds", 1
+            ).set("firings", result.pm_rows_scanned)
+        removed_counts: dict[str, int] = {}
+        if not cone:
+            return removed_counts
+        names = {relno: name for name, relno in load_relnos(conn).items()}
+        dead_relations: dict[str, int] = {}
+        for node in dead:
+            relno = node // REL_SHIFT
+            dead_relations.setdefault(names[relno], relno * REL_SHIFT)
+        with self.tracer.span("deletion.kill") as kspan, conn:
+            if dead:
+                conn.execute('DELETE FROM "__rq_dead"')
+                conn.executemany(
+                    'INSERT INTO "__rq_dead" VALUES (?)',
+                    [(node,) for node in dead],
+                )
+                # P_m candidates first: matching needs the dead rows.
+                collects = program.cone.collects
+                for collect in collects:
+                    for relation, statement in collect.candidates:
+                        base = dead_relations.get(relation)
+                        if base is not None:
+                            conn.execute(
+                                statement.sql,
+                                {
+                                    **statement.params,
+                                    "base": base,
+                                    "top": base + REL_SHIFT,
+                                },
+                            )
+                for relation, base in dead_relations.items():
+                    removed = conn.execute(
+                        f"DELETE FROM {_q(relation)} WHERE rowid IN "
+                        '(SELECT id - :base FROM "__rq_dead" '
+                        "WHERE id >= :base AND id < :top)",
+                        {"base": base, "top": base + REL_SHIFT},
+                    ).rowcount
+                    if removed > 0:
+                        removed_counts[relation] = removed
+                for collect in collects:
+                    result.pm_rows_collected += max(
+                        conn.execute(
+                            collect.collect.sql, collect.collect.params
+                        ).rowcount,
+                        0,
+                    )
+                conn.execute(f"DELETE FROM {_q(PM_CANDIDATES)}")
+                index.finish_prune()
+            self._settle_roots(complete=True)
+            kspan.set("rows_deleted", sum(removed_counts.values())).set(
+                "pm_rows_collected", result.pm_rows_collected
+            )
+        return removed_counts
+
+    def _propagate_full(
+        self,
+        program: CompiledExchangeProgram,
+        catalog: Catalog,
+        mappings: TMapping[str, SchemaMapping],
+        reinserted: TMapping[str, set[Row]],
+        max_iterations: int | None,
+        result: EvaluationResult,
+    ) -> dict[str, int]:
+        """The full path of :meth:`propagate_deletions`: the liveness
+        fixpoint and the kill sweeps, in one transaction."""
         if program.derivability is None:
             program.derivability = lower_derivability_program(
                 program.compiled, catalog, mappings, self.store.codec
@@ -898,38 +1060,35 @@ class SQLiteExchangeEngine:
         store = self.store
         conn = store.connection
         tracer = self.tracer
-        result = EvaluationResult(instance, ProvenanceGraph(), engine="sqlite")
-        with store.work_tables(catalog, mappings, fsql, program.fingerprint):
+        index = store.reach_index
+        prune = index.current
+        removed_counts: dict[str, int] = {}
+        with store.work_tables(catalog, mappings, fsql, program.fingerprint), conn:
             with tracer.span("deletion.fixpoint") as fspan:
-                with conn:
-                    seeds = {
-                        relation: seed_rows(store, LIVENESS, relation)
-                        for relation in fsql.edb_relations
-                    }
-                    for relation, rows in reinserted.items():
-                        seeds[relation] += seed_rows(
-                            store,
-                            LIVENESS,
-                            relation,
-                            [
-                                store.codec.encode_row(row)
-                                for row in sorted(rows, key=repr)
-                            ],
-                        )
+                seeds = {
+                    relation: seed_rows(store, LIVENESS, relation)
+                    for relation in fsql.edb_relations
+                }
+                for relation, rows in reinserted.items():
+                    seeds[relation] += seed_rows(
+                        store,
+                        LIVENESS,
+                        relation,
+                        [
+                            store.codec.encode_row(row)
+                            for row in sorted(rows, key=repr)
+                        ],
+                    )
                 result.iterations, result.pm_rows_scanned, _ = run_fixpoint(
                     store, fsql, seeds, max_iterations=max_iterations,
                     tracer=tracer,
                 )
-                fspan.set("rounds", result.iterations).set(
-                    "firings", result.pm_rows_scanned
-                )
-            # Kill phase, one transaction: unsupported rows die, dead
-            # P_m firing-history rows are garbage-collected alongside.
-            pm_collected = 0
-            removed_counts: dict[str, int] = {}
-            index = store.reach_index
-            prune = index.current
-            with tracer.span("deletion.kill") as kspan, conn:
+                fspan.set("path", "full").set(
+                    "rounds", result.iterations
+                ).set("firings", result.pm_rows_scanned)
+            # Kill phase: unsupported rows die, dead P_m firing-history
+            # rows are garbage-collected alongside.
+            with tracer.span("deletion.kill") as kspan:
                 if prune:
                     # Capture the dying derived rows (by node id) while
                     # they are still present; the index prunes exactly
@@ -941,19 +1100,23 @@ class SQLiteExchangeEngine:
                     if removed:
                         removed_counts[relation] = removed
                 for _table, _columns, collect in fsql.projections:
-                    pm_collected += max(conn.execute(collect).rowcount, 0)
+                    result.pm_rows_collected += max(
+                        conn.execute(collect).rowcount, 0
+                    )
                 if prune:
                     index.finish_prune()
+                self._settle_roots(complete=not any(reinserted.values()))
                 kspan.set(
                     "rows_deleted", sum(removed_counts.values())
-                ).set("pm_rows_collected", pm_collected)
-        # The count cache moves only after the kill transaction commits
-        # (a rollback must leave it describing the uncut tables).
-        for relation, removed in removed_counts.items():
-            store.note_rows_removed(relation, removed)
-        result.rows_deleted = sum(removed_counts.values())
-        result.pm_rows_collected = pm_collected
-        return result
+                ).set("pm_rows_collected", result.pm_rows_collected)
+        return removed_counts
+
+    def _settle_roots(self, complete: bool) -> None:
+        """End of a propagation, inside its kill transaction: no
+        deletion is pending any more, and the marker says whether every
+        stored tuple is derivable again."""
+        self.store.connection.execute(f"DELETE FROM {_q(ROOT_TABLE)}")
+        self.store.reach_index.set_roots_complete(complete)
 
     # -- internals ---------------------------------------------------------
 
@@ -963,16 +1126,16 @@ class SQLiteExchangeEngine:
         rows: TMapping[str, Sequence[Sequence[object]]] | None,
     ) -> dict[str, int]:
         """Seed the exchange delta: with the encoded *rows* per
-        relation, or — None — with the whole store."""
+        relation, or — None — with the whole store (inside the run's
+        transaction)."""
         store = self.store
-        with store.connection:
-            if rows is None:
-                return {
-                    relation: seed_rows(store, EXCHANGE, relation)
-                    for relation in sql.relations
-                }
+        if rows is None:
             return {
-                relation: seed_rows(store, EXCHANGE, relation, encoded)
-                for relation, encoded in rows.items()
-                if relation in sql.relations
+                relation: seed_rows(store, EXCHANGE, relation)
+                for relation in sql.relations
             }
+        return {
+            relation: seed_rows(store, EXCHANGE, relation, encoded)
+            for relation, encoded in rows.items()
+            if relation in sql.relations
+        }

@@ -29,9 +29,9 @@ SPANS: dict[str, str] = {
     # -- deletion propagation ----------------------------------------------
     "deletion": "One CDSS.propagate_deletions call (attrs: engine).",
     "deletion.annotate": "Derivability annotation of the in-memory graph.",
-    "deletion.fixpoint": "SQL liveness fixpoint over the lowered program.",
-    "deletion.kill": "Kill sweep: delete unsupported rows and dead P_m rows.",
-    "fixpoint.round": "One round of the shared SQL liveness fixpoint (attrs: round, firings).",
+    "deletion.fixpoint": "Liveness test of a resident propagation (attrs: path cone/full, cone nodes, rounds, firings).",
+    "deletion.kill": "Kill sweep: delete unsupported rows and dead P_m rows, prune the index, clear the roots.",
+    "fixpoint.round": "One round of the shared SQL liveness fixpoint, full path only (attrs: round, firings).",
     # -- graph queries ------------------------------------------------------
     "graph_query": "One CDSS.{derivability,lineage,trusted} call (attrs: query, engine).",
     "walk.round": "One backward-walk round of the resident lineage query (attrs: round).",
@@ -65,7 +65,7 @@ SERVE_METRICS: dict[str, str] = {
     "serve.queries": "Reader queries answered (any path, including cache hits).",
     "serve.cache_hits": "Reader queries answered from the session's per-epoch result cache.",
     "serve.snapshot_refreshes": "Snapshots that observed a new epoch and dropped the session caches.",
-    "serve.stale_retries": "Snapshot attempts refused because the index was stale or a run was dirty.",
+    "serve.stale_retries": "Snapshot attempts refused because the index was stale or absent (exchanges commit whole and cause none).",
     "serve.busy_retries": "SQLITE_BUSY/LOCKED attempts retried while opening or reading.",
     "serve.unavailable": "Queries that exhausted the retry budget (ServeUnavailable raised).",
     "serve.checkpoints": "Writer checkpoints issued through checkpoint_with_retry.",

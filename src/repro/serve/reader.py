@@ -8,15 +8,22 @@ the writer but the WAL file — and answers ``lineage`` /
 
 The consistency protocol (docs/serving.md spells out why it is sound):
 
+0. Cache hit: ``PRAGMA data_version``, outside any transaction.  When
+   it equals the value recorded inside the last pinned snapshot, no
+   other connection has committed since, so an answer the read core
+   holds for that snapshot's epoch is still exact — return it, with
+   no ``BEGIN``, no ``__meta`` read and no ``ROLLBACK``.  Anything
+   else takes the pinned path below.
 1. ``BEGIN`` — the first read pins a WAL snapshot for the whole query.
-2. Read ``index_state`` / ``index_epoch`` / ``dirty_run`` from
-   ``__meta`` *inside* the snapshot.  Every writer commit that mutates
-   relation content either bumps the epoch in the same transaction or
-   happens while the state is ``stale``/dirty, so a snapshot showing
-   ``current`` + clean is index-consistent at its epoch.
-3. Not servable → release, back off, retry (bounded); the session
-   *never* extrapolates — a reader answer is always exactly right for
-   the epoch it reports.
+2. Read ``index_state`` / ``index_epoch`` from ``__meta`` *inside*
+   the snapshot, and record ``PRAGMA data_version`` beside them.  Every
+   writer commit that mutates relation content bumps the epoch in the
+   same transaction (an exchange is one transaction, so none ever
+   shows a half-maintained index), so a snapshot showing ``current``
+   is index-consistent at its epoch.
+3. Not servable (a stale or absent index) → release, back off, retry
+   (bounded); the session *never* extrapolates — a reader answer is
+   always exactly right for the epoch it reports.
 4. Epoch drift → drop the per-epoch caches and rebuild them under the
    new snapshot.
 5. Answer, then ``ROLLBACK`` so the snapshot never outlives the query
@@ -36,7 +43,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterator, TypeVar
 from urllib.parse import quote
 
 from repro.errors import (
@@ -45,9 +52,11 @@ from repro.errors import (
     StaleSnapshotError,
 )
 from repro.exchange.index_reads import (
+    DERIVABILITY_KEY,
     IndexAnswer,
     IndexReadCore,
     PreparedSQL,
+    lineage_key,
 )
 from repro.exchange.sql_executor import (
     check_store_format,
@@ -81,8 +90,13 @@ DEFAULT_RETRY = BackoffPolicy(
 
 _META_SQL = (
     'SELECT key, value FROM "__meta" WHERE key IN '
-    "('index_state', 'index_epoch', 'dirty_run')"
+    "('index_state', 'index_epoch')"
 )
+_VERSION_SQL = "PRAGMA data_version"
+
+#: back-to-back cache hits for this long yield the interpreter lock
+#: once (see :meth:`ReaderSession._yield_after_hits`).
+HIT_STREAK_S = 0.001
 _FORMAT_SQL = "SELECT value FROM \"__meta\" WHERE key = 'store_format'"
 
 
@@ -92,12 +106,11 @@ class SnapshotState:
 
     state: str
     epoch: int
-    dirty: bool
 
     @property
     def servable(self) -> bool:
         """True iff the index is consistent at :attr:`epoch`."""
-        return self.state == "current" and not self.dirty
+        return self.state == "current"
 
 
 @dataclass(frozen=True)
@@ -153,6 +166,11 @@ class ReaderSession:
         self._format_checked = False
         self._prepared = PreparedSQL()
         self._core = IndexReadCore(catalog, ValueCodec(), self._prepared)
+        #: ``(PRAGMA data_version, state)`` of the last snapshot that
+        #: answered — what a cache hit checks it is still looking at.
+        self._seen: tuple[int, SnapshotState] | None = None
+        #: when the current run of back-to-back cache hits began.
+        self._streak_started = 0.0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -230,7 +248,6 @@ class ReaderSession:
         return SnapshotState(
             state=str(meta.get("index_state") or ""),
             epoch=int(meta.get("index_epoch") or 0),
-            dirty=bool(int(meta.get("dirty_run") or 0)),
         )
 
     @property
@@ -245,15 +262,50 @@ class ReaderSession:
 
     # -- query driver --------------------------------------------------------
 
+    def _unchanged_hit(
+        self, key: object
+    ) -> "tuple[IndexAnswer[Any], SnapshotState] | None":
+        """Step 0 of the protocol: the cached answer for *key*, when no
+        other connection has committed since the last snapshot that
+        answered (one ``PRAGMA data_version``); else None."""
+        seen, conn = self._seen, self._conn
+        if seen is None or conn is None:
+            return None
+        try:
+            (version,) = conn.execute(_VERSION_SQL).fetchone()
+        except sqlite3.OperationalError:
+            return None  # the pinned path retries what this cannot read
+        if version != seen[0]:
+            return None
+        answer = self._core.lookup(seen[1].epoch, key)
+        return None if answer is None else (answer, seen[1])
+
+    def _yield_after_hits(self) -> None:
+        """Give the interpreter lock away for a moment once cache hits
+        have run back to back for :data:`HIT_STREAK_S`.
+
+        A hit holds the lock from end to end but for one short
+        statement, which hands it back before a waiting thread can
+        take it — so a reader answering hits in a loop would starve a
+        writer thread in this process, whose every statement must take
+        the lock back.  ``sleep(0)`` sleeps long enough for it to."""
+        now = time.perf_counter()
+        if now - self._streak_started >= HIT_STREAK_S:
+            time.sleep(0)
+            self._streak_started = time.perf_counter()
+
     def _answer(
         self,
         kind: str,
+        key: object,
         query: Callable[
             [sqlite3.Connection, SnapshotState], tuple[IndexAnswer[T], bool]
         ],
     ) -> T:
-        """Pin a servable snapshot (with retry), run *query* on the
-        read core at the observed epoch, and record :attr:`last_read`."""
+        """Answer from the cache when nothing was committed since the
+        last snapshot; otherwise pin a servable snapshot (with retry)
+        and run *query* on the read core at the observed epoch.
+        Records :attr:`last_read`."""
         started = time.perf_counter()
         retries = 0
 
@@ -264,13 +316,15 @@ class ReaderSession:
                     self.on_pinned(state)
                 if not state.servable:
                     raise StaleSnapshotError(
-                        f"index {state.state or 'absent'!r}"
-                        f"{' (dirty run)' if state.dirty else ''} "
+                        f"index {state.state or 'absent'!r} "
                         f"at epoch {state.epoch}"
                     )
+                (version,) = conn.execute(_VERSION_SQL).fetchone()
                 if self._core.epoch not in (None, state.epoch):
                     self.metrics.add("serve.snapshot_refreshes")
                 answer, hit = query(conn, state)
+                self._seen = (version, state)
+                self._streak_started = time.perf_counter()
                 return answer, state, hit
 
         def on_retry(attempt_no: int, error: BaseException) -> None:
@@ -284,14 +338,19 @@ class ReaderSession:
             self.metrics.add(name)
 
         try:
-            answer, state, hit = run_with_retry(
-                attempt,
-                self.retry,
-                retryable=lambda e: (
-                    isinstance(e, StaleSnapshotError) or is_busy_error(e)
-                ),
-                on_retry=on_retry,
-            )
+            unchanged = self._unchanged_hit(key)
+            if unchanged is not None:
+                (answer, state), hit = unchanged, True
+                self._yield_after_hits()
+            else:
+                answer, state, hit = run_with_retry(
+                    attempt,
+                    self.retry,
+                    retryable=lambda e: (
+                        isinstance(e, StaleSnapshotError) or is_busy_error(e)
+                    ),
+                    on_retry=on_retry,
+                )
         except StaleSnapshotError as error:
             self.metrics.add("serve.unavailable")
             raise ServeUnavailable(
@@ -328,6 +387,7 @@ class ReaderSession:
         """
         value = self._answer(
             "lineage",
+            lineage_key(node),
             lambda conn, state: self._core.lineage(
                 conn, state.epoch, node
             ),
@@ -342,6 +402,7 @@ class ReaderSession:
         return dict(
             self._answer(
                 "derivability",
+                DERIVABILITY_KEY,
                 lambda conn, state: self._core.derivability(
                     conn, state.epoch
                 ),
@@ -354,6 +415,7 @@ class ReaderSession:
         return dict(
             self._answer(
                 "trusted",
+                self._core.trusted_key(policy),
                 lambda conn, state: self._core.trusted(
                     conn, state.epoch, policy
                 ),

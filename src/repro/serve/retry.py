@@ -3,8 +3,9 @@
 Two things go transiently wrong while a writer and many readers share a
 resident store file:
 
-* a reader pins a snapshot whose reachability index is mid-maintenance
-  (``index_state != 'current'`` or a dirty run is in flight) — raised as
+* a reader pins a snapshot whose reachability index is not current
+  (``index_state != 'current'``: absent, or marked stale until a query
+  rebuilds it; exchanges commit whole and never show one) — raised as
   :class:`repro.errors.StaleSnapshotError`;
 * SQLite reports ``SQLITE_BUSY``/``SQLITE_LOCKED`` while opening the
   read-only connection (shm init races) or while the writer checkpoints

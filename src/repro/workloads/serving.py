@@ -281,7 +281,7 @@ def _run_soak(
         """Oracle answers for the store's current epoch (writer thread
         only; runs after every epoch-creating operation, before the
         next one, so every epoch a reader can observe gets recorded)."""
-        if store.meta_get("index_state") != "current" or store.dirty_run:
+        if store.meta_get("index_state") != "current":
             return
         epoch = int(store.meta_get("index_epoch") or 0)
         if epoch in oracle_digests:

@@ -12,6 +12,8 @@ atom), so the memory graph's derivations are split per target
 
 from __future__ import annotations
 
+import sqlite3
+
 from repro.exchange.reach_index import REL_SHIFT, load_relnos
 from repro.provenance.graph import ProvenanceGraph, TupleNode
 from repro.storage import provenance_rows
@@ -99,3 +101,20 @@ def assert_store_matches(memory, sqlite) -> None:
                 provenance_rows(memory.mappings[name], memory.graph)
             ), name
     assert stored_fires(sqlite) == graph_fires(memory.graph)
+
+
+def as_format_1(path, dirty_run=0):
+    """Rewrite the closed store file at *path* into the format-1 layout:
+    no root table, no roots marker, a ``dirty_run`` key."""
+    conn = sqlite3.connect(path)
+    with conn:
+        conn.execute('DROP TABLE "__ridx_root"')
+        conn.execute("DELETE FROM __meta WHERE key = 'roots_complete'")
+        conn.execute(
+            "UPDATE __meta SET value = 1 WHERE key = 'store_format'"
+        )
+        conn.execute(
+            "INSERT INTO __meta (key, value) VALUES ('dirty_run', ?)",
+            (dirty_run,),
+        )
+    conn.close()

@@ -12,13 +12,14 @@ import contextlib
 import pytest
 
 from repro.cdss import CDSS, Peer
-from repro.errors import ExchangeError
+from repro.errors import ExchangeError, StorageError
 from repro.exchange.sql_executor import ExchangeStore, SQLiteExchangeEngine
 from repro.relational import RelationSchema
 from repro.storage import provenance_rows
 from repro.storage.encoding import quote_identifier
 
 from store_state import (
+    as_format_1,
     assert_store_matches,
     graph_fires,
     stored_fires,
@@ -266,17 +267,56 @@ class TestExchangeStore:
 
 
 class TestStoreFormat:
-    """The store stamps its layout version into ``__meta`` and both
-    openers — the writer and a read-only serving session — refuse a
-    file with another number."""
+    """The store stamps its layout version into ``__meta``; the writer
+    migrates a format-1 file, and both openers — the writer and a
+    read-only serving session — refuse any other number."""
 
     def test_fresh_store_carries_the_current_format(self, tmp_path):
         from repro.exchange.sql_executor import STORE_FORMAT
 
-        assert STORE_FORMAT == 1
+        assert STORE_FORMAT == 2
         for path in (str(tmp_path / "fresh.db"), ":memory:"):
             with ExchangeStore(path) as store:
-                assert store.meta_get("store_format") == 1
+                assert store.meta_get("store_format") == 2
+                # Nothing is pending on a fresh store: its roots are
+                # complete.
+                assert store.meta_get("roots_complete") == 1
+                assert store.has_table("__ridx_root")
+
+    def test_format_1_store_migrates_and_propagates_in_full(self, tmp_path):
+        from repro.obs.trace import MemorySink, Tracer
+        from repro.serve import ReaderSession
+
+        path = str(tmp_path / "resident.db")
+        memory, system = example_twins()
+        populate_example(memory)
+        insert_example_data(system)
+        system.exchange(engine="sqlite", storage=path)
+        system.exchange_store.close()
+        as_format_1(path)
+        # A reader does not migrate: it refuses until the writer has.
+        with ReaderSession(path, system.catalog) as reader:
+            with pytest.raises(StorageError, match="format 1"):
+                reader.derivability()
+        system.exchange(engine="sqlite", storage=path)
+        store = system.exchange_store
+        assert store.meta_get("store_format") == 2
+        assert store.meta_get("dirty_run") is None
+        assert store.has_table("__ridx_root")
+        # Deletions before the migration recorded no roots, so the
+        # first propagation runs the full fixpoint and sets the marker.
+        assert store.meta_get("roots_complete") is None
+        sink = MemorySink()
+        system.tracer = Tracer(sink)
+        for twin in (memory, system):
+            twin.delete_local("A", (2, "sn1", 5))
+        assert system.propagate_deletions() == memory.propagate_deletions()
+        (fixpoint,) = [
+            r for r in sink.records() if r["name"] == "deletion.fixpoint"
+        ]
+        assert fixpoint["attrs"]["path"] == "full"
+        assert store.meta_get("roots_complete") == 1
+        assert_store_matches(memory, system)
 
     def test_both_openers_refuse_another_format(self, tmp_path):
         from repro.errors import StorageError
@@ -287,14 +327,14 @@ class TestStoreFormat:
         _, system = example_twins()
         insert_example_data(system)
         system.exchange(engine="sqlite", storage=path)
-        system.exchange_store.meta_set("store_format", 2)
+        system.exchange_store.meta_set("store_format", 3)
         system.exchange_store.close()
-        with pytest.raises(StorageError, match=r"format 2.*format 1"):
+        with pytest.raises(StorageError, match=r"format 3.*format 2"):
             ExchangeStore(path)
-        with pytest.raises(StorageError, match=r"format 2.*format 1"):
+        with pytest.raises(StorageError, match=r"format 3.*format 2"):
             system.exchange(engine="sqlite", storage=path)
         with ReaderSession(path, system.catalog) as reader:
-            with pytest.raises(StorageError, match=r"format 2.*format 1"):
+            with pytest.raises(StorageError, match=r"format 3.*format 2"):
                 reader.lineage(TupleNode("A", (1, "sn1", 7)))
             with pytest.raises(StorageError):
                 reader.derivability()
@@ -399,7 +439,7 @@ class TestIncrementalMirror:
         assert repeat.rows_mirrored == 0
         assert_store_matches(memory, system)
 
-    def test_aborted_run_invalidates_sync_and_self_heals(self):
+    def test_aborted_run_rolls_back_and_keeps_pending(self):
         from repro.errors import EvaluationError
 
         memory, system = example_twins()
@@ -407,8 +447,8 @@ class TestIncrementalMirror:
         program, _ = system.plan_cache.fetch(system.program())
         system.exchange_store = store = ExchangeStore()
         engine = SQLiteExchangeEngine(store)
+        pending = {name: set(rows) for name, rows in system._pending.items()}
         with pytest.raises(EvaluationError):
-            # The run ships the system's pending rows and consumes them.
             engine.run(
                 program,
                 system.catalog,
@@ -417,15 +457,15 @@ class TestIncrementalMirror:
                 system._pending,
                 max_iterations=1,
             )
-        # The aborted run committed its first round: derived rows the
-        # count cache never saw.  The next run must re-seed, converge
-        # and count every stored row.
-        assert store.dirty_run
-        assert store.count("A_l") == 2
+        # The run is one transaction: the abort shipped nothing, kept
+        # no round, and left the pending rows for the next run.
+        assert not store.connection.in_transaction
+        assert system._pending == pending
+        assert store.count("A_l") == 0
+        assert store.count("A") == 0
         result = system.exchange(engine="sqlite")
-        assert result.rows_mirrored == 0  # the local rows were shipped
-        assert store.count("A_l") == 2  # ...and only once
-        assert not store.dirty_run
+        assert result.rows_mirrored == 2 + 2  # A_l and C_l, shipped once
+        assert store.count("A_l") == 2
         populate_example(memory)
         assert_store_matches(memory, system)
         assert system.instance_size() == memory.instance_size()
@@ -763,14 +803,10 @@ class TestResidentMode:
         assert resident.instance_size() > size_before
         assert resident.instance_size() == plain.instance_size()
 
-    def test_aborted_resident_run_recovers_by_full_reseed(self, tmp_path):
-        # A run that aborts mid-fixpoint leaves its committed rounds in
-        # the store (they cannot be rolled back across round
-        # transactions).  Those orphan rows are sound but incomplete —
-        # and an incremental retry would dedup them out of the delta,
-        # never deriving their consequences.  The dirty-run flag makes
-        # the retry re-seed from the full store extension instead, so
-        # it converges to the complete fixpoint.
+    def test_aborted_resident_run_leaves_the_pre_run_store(self, tmp_path):
+        # A run that aborts mid-fixpoint rolls back whole: the store,
+        # its index epoch and the pending rows are as before the run,
+        # and the retry is an ordinary incremental run.
         from repro.errors import EvaluationError
 
         for resident, plain in self.pairs(tmp_path):
@@ -779,6 +815,12 @@ class TestResidentMode:
             program, _ = resident.plan_cache.fetch(resident.program())
             store = resident.exchange_store
             engine = SQLiteExchangeEngine(store)
+            before = {
+                schema.name: store.relation_rows(schema)
+                for schema in resident.catalog
+            }
+            epoch = store.reach_index.epoch
+            counts = dict(store._row_counts)
             with pytest.raises(EvaluationError):
                 engine.run(
                     program,
@@ -789,14 +831,18 @@ class TestResidentMode:
                     incremental=True,
                     max_iterations=1,
                 )
-            assert store.dirty_run
-            assert store.count("A_l") == 3
+            assert {
+                schema.name: store.relation_rows(schema)
+                for schema in resident.catalog
+            } == before
+            assert store.reach_index.epoch == epoch
+            assert store.reach_index.current
+            assert store._row_counts == counts
+            assert resident._pending == {"A_l": {(3, "sn3", 9)}}
             result = resident.exchange(engine="sqlite", resident=True)
             plain.exchange()
-            # The aborted run shipped A(3, sn3, 9); nobody ships it again.
-            assert result.rows_mirrored == 0
+            assert result.rows_mirrored == 1
             assert store.count("A_l") == 3
-            assert not store.dirty_run
             assert_store_matches(plain, resident)
             assert resident.instance_size() == plain.instance_size()
 
@@ -885,34 +931,21 @@ class TestResidentMode:
         assert r.rows_mirrored == 0
 
     def test_dirty_run_survives_store_reopen(self, tmp_path):
-        # The dirty-run flag lives in the store file: an abort followed
-        # by close + reopen-by-path (the cross-connection recovery
-        # story) must still trigger the full re-seed.
-        from repro.errors import EvaluationError
-
+        # A format-1 file whose dirty-run flag is set holds the
+        # committed rounds of an aborted run; format 2 commits each run
+        # whole and has no recovery for that, so the flag survives as a
+        # refusal naming the file, and the file is left as it was.
         path = str(tmp_path / "resident.db")
-        resident, plain = self.build_pair(tmp_path)
-        for system in (resident, plain):
-            system.insert_local("A", (3, "sn3", 9))
-        program, _ = resident.plan_cache.fetch(resident.program())
-        engine = SQLiteExchangeEngine(resident.exchange_store)
-        with pytest.raises(EvaluationError):
-            engine.run(
-                program,
-                resident.catalog,
-                resident.mappings,
-                resident.instance,
-                resident._pending,
-                incremental=True,
-                max_iterations=1,
-            )
-        resident.exchange_store.close()
-        result = resident.exchange(engine="sqlite", storage=path, resident=True)
-        plain.exchange()
-        assert result.rows_mirrored == 0
-        assert resident.exchange_store.count("A_l") == 3
-        assert not resident.exchange_store.dirty_run
-        assert_store_matches(plain, resident)
+        _, system = example_twins()
+        insert_example_data(system)
+        system.exchange(engine="sqlite", storage=path)
+        system.exchange_store.close()
+        as_format_1(path, dirty_run=1)
+        for _ in range(2):
+            with pytest.raises(
+                StorageError, match=r"resident\.db.*dirty_run"
+            ):
+                ExchangeStore(path)
 
     def test_instance_size_rejects_closed_store(self, tmp_path):
         # The Python side is deliberately empty on the sqlite engine,
@@ -1492,11 +1525,15 @@ class TestFixpointRounds:
                 _seed_topology(resident, self.NUM_PEERS, [(4, 7, 70)])
                 resident.exchange(engine="sqlite", resident=True)
         elif computation == "propagate":
+            # The full fixpoint is the propagation path with rounds.
+            index = resident.exchange_store.reach_index
+            index.set_roots_complete(False)
             resident.propagate_deletions()
             fsql = program.derivability
 
             def run():
                 TestResidentDeletion().delete_victims(resident, self.NUM_PEERS)
+                index.set_roots_complete(False)
                 assert resident.propagate_deletions() > 0
         else:
             oracle.lineage(node)
@@ -1538,6 +1575,8 @@ class TestFixpointRounds:
         if computation == "propagate":
             for system in (memory, resident):
                 system.delete_local("A", (2, "sn1", 5))
+            # Only the full fixpoint has rounds to abort.
+            store.reach_index.set_roots_complete(False)
         engine = SQLiteExchangeEngine(store)
         # computation -> (resident run, memory twin, error message)
         cases = {

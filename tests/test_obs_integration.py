@@ -175,6 +175,12 @@ class TestResidentTracing:
         )))
         cdss.delete_local("P3_R1", victim)
         cdss.propagate_deletions()
+        # The same deletion again, forced onto the full fixpoint.
+        cdss.delete_local("P3_R1", next(iter(cdss.exchange_store.relation_rows(
+            cdss.catalog["P3_R1"]
+        ))))
+        cdss.exchange_store.reach_index.set_roots_complete(False)
+        cdss.propagate_deletions()
         survivor = next(iter(cdss.exchange_store.relation_rows(
             cdss.catalog[target_relation()]
         )))
@@ -184,6 +190,13 @@ class TestResidentTracing:
         names = {r["name"] for r in records}
         assert {"exchange.statement", "exchange.sqlite", "deletion.fixpoint",
                 "deletion.kill", "fixpoint.round", "index.maintain"} <= names
+        # The first propagation walked the pending cone, the second
+        # re-derived the store; only the second has rounds.
+        fixpoints = [r for r in records if r["name"] == "deletion.fixpoint"]
+        assert [r["attrs"]["path"] for r in fixpoints] == ["cone", "full"]
+        assert fixpoints[0]["attrs"]["cone"] > 0
+        rounds = [r for r in records if r["name"] == "fixpoint.round"]
+        assert {r["parent"] for r in rounds} == {fixpoints[1]["span"]}
         # The indexed lineage answers without a backward walk.
         assert "walk.round" not in names
         statements = [r for r in records if r["name"] == "exchange.statement"]

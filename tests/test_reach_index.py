@@ -328,7 +328,7 @@ class TestLineageClosure:
                     tuple_node
                 )
 
-    def test_fresh_store_has_three_index_tables(self, tmp_path):
+    def test_fresh_store_has_four_index_tables(self, tmp_path):
         _memory, resident = build_resident_deletion_pair(tmp_path)
         conn = resident.exchange_store.connection
         tables = {
@@ -337,7 +337,9 @@ class TestLineageClosure:
                 "AND name GLOB '__ridx_*'"
             )
         }
-        assert tables == {"__ridx_rel", "__ridx_fire", "__ridx_body"}
+        assert tables == {
+            "__ridx_rel", "__ridx_fire", "__ridx_body", "__ridx_root"
+        }
         keys = {
             key for (key,) in conn.execute(
                 "SELECT key FROM __meta WHERE key GLOB 'index_*'"

@@ -6,11 +6,15 @@ indexed answers
 must equal the unindexed relational path on every query, and the
 memory engine whenever no divergence window is open (un-propagated
 deletes: resident victim marking removes rows immediately while the
-graph keeps leaves until propagation; un-exchanged inserts: a row
-deleted and inserted again before a propagation keeps its consequences
-alive there, but the index pruned its fires at the delete).  After
+graph keeps leaves until propagation; un-exchanged inserts).  While a
+row deleted from the store is pending again — the memory engine's
+graph holds it as a live leaf, the store neither holds it nor the
+fires the delete pruned — the writer's queries refuse
+(:class:`~repro.errors.ReinsertWindowError`), exactly then.  After
 every propagation the public relations equal the memory engine's,
-window or not.  After the lifecycle, a
+window or not, and outside the refusal window every stored tuple is
+derivable and the verdicts equal the memory engine's.  After the
+lifecycle, a
 store reopened by path must still know its index epoch and state and
 answer queries without a rebuild."""
 
@@ -19,8 +23,10 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.cdss import CDSS, Peer, TrustPolicy
+from repro.errors import ReinsertWindowError
 from repro.exchange.graph_queries import StoreGraphQueries
 from repro.exchange.sql_executor import ExchangeStore
 from repro.relational import RelationSchema
@@ -78,7 +84,20 @@ def public_nodes(memory):
     )
 
 
-def compare_queries(memory, resident, pick, distrusted, window_open):
+def compare_queries(memory, resident, pick, distrusted, window_open, refused):
+    if refused:
+        policy = TrustPolicy()
+        policy.distrust_mapping(distrusted)
+        nodes = public_nodes(memory)
+        queries = [resident.derivability, lambda: resident.trusted(policy)]
+        if nodes:
+            queries.append(
+                lambda: resident.lineage(nodes[pick % len(nodes)])
+            )
+        for query in queries:
+            with pytest.raises(ReinsertWindowError):
+                query()
+        return
     oracle = legacy_oracle(resident)
     indexed = resident.derivability()
     assert indexed == oracle.derivability()[0]
@@ -145,21 +164,27 @@ def test_indexed_lifecycle_matches_both_oracles(kind, rows, operations):
         memory.exchange()
         resident.exchange(engine="sqlite", storage=path, resident=True)
         # Divergence windows vs the memory engine: un-exchanged
-        # inserts (a row deleted and inserted again keeps its
-        # consequences alive at the next propagation, but the index
-        # pruned its fires at the delete) and un-propagated deletes
-        # (the graph keeps victim leaves until propagation).
+        # inserts and un-propagated deletes (the graph keeps victim
+        # leaves until propagation).
         pending_inserts = False
         pending_deletes = False
+        # The refusal window: local rows deleted from the store
+        # (``removed``) that are pending again.
+        stored = {(relation, (value,)) for relation in data for value in rows}
+        pending, removed = set(), set()
         for op, arg, *rest in (operations or []):
             if op == "insert":
                 relation = data[arg % len(data)]
                 for system in (memory, resident):
                     system.insert_local(relation, (rest[0],))
+                if (relation, (rest[0],)) not in stored:
+                    pending.add((relation, (rest[0],)))
                 pending_inserts = True
             elif op == "exchange":
                 memory.exchange()
                 resident.exchange(engine="sqlite", resident=True)
+                stored |= pending
+                pending = set()
                 pending_inserts = False
             elif op == "delete":
                 candidates = [
@@ -172,12 +197,22 @@ def test_indexed_lifecycle_matches_both_oracles(kind, rows, operations):
                 relation, row = candidates[arg % len(candidates)]
                 for system in (memory, resident):
                     system.delete_local(relation, row)
+                if (relation, row) in pending:
+                    pending.discard((relation, row))
+                else:
+                    stored.discard((relation, row))
+                    removed.add((relation, row))
                 pending_deletes = True
             elif op == "propagate":
-                removed = memory.propagate_deletions()
-                assert removed == resident.propagate_deletions()
+                dead = memory.propagate_deletions()
+                assert dead == resident.propagate_deletions()
                 assert_public_relations_match(memory, resident)
+                removed &= pending
                 pending_deletes = False
+                if not removed:
+                    verdicts = resident.derivability()
+                    assert all(verdicts.values())
+                    assert verdicts == memory.derivability()
             else:
                 compare_queries(
                     memory,
@@ -185,6 +220,7 @@ def test_indexed_lifecycle_matches_both_oracles(kind, rows, operations):
                     arg,
                     distrusted,
                     pending_inserts or pending_deletes,
+                    bool(removed & pending),
                 )
         if pending_deletes:
             assert memory.propagate_deletions() == (
@@ -194,7 +230,7 @@ def test_indexed_lifecycle_matches_both_oracles(kind, rows, operations):
         if pending_inserts:
             memory.exchange()
             resident.exchange(engine="sqlite", resident=True)
-        compare_queries(memory, resident, 0, distrusted, False)
+        compare_queries(memory, resident, 0, distrusted, False, False)
         # Epoch/state survive a reopen-by-path; queries answer from
         # the persisted index with no rebuild.
         store = resident.exchange_store

@@ -22,6 +22,7 @@ from repro.errors import (
     ExchangeError,
     ServeError,
     ServeUnavailable,
+    StorageError,
 )
 from repro.provenance.graph import TupleNode
 from repro.relational import RelationSchema
@@ -285,6 +286,50 @@ class TestReaderSession:
             assert again == first
             assert reader.metrics.value("serve.cache_hits") == 1
 
+    def test_unchanged_hit_is_one_statement(self, tmp_path):
+        # No commit since the snapshot that answered: the repeat is
+        # answered from the cache after one PRAGMA data_version — no
+        # BEGIN, no __meta read, no ROLLBACK.
+        system, path = resident_example(tmp_path)
+        probe = TupleNode("O", ("sn1", 5, True))
+        with ReaderSession(path, system.catalog) as reader:
+            first = reader.derivability()
+            lineage = reader.lineage(probe)
+            statements = []
+            reader._conn.set_trace_callback(statements.append)
+            assert reader.derivability() == first
+            assert reader.last_read.cache_hit
+            assert reader.last_read.path == "cache"
+            assert statements == ["PRAGMA data_version"]
+            statements.clear()
+            assert reader.lineage(probe) == lineage
+            assert statements == ["PRAGMA data_version"]
+            assert reader.metrics.value("serve.cache_hits") == 2
+
+    def test_commit_between_reads_takes_the_pinned_path(self, tmp_path):
+        system, path = resident_example(tmp_path)
+        store = system.exchange_store
+        with ReaderSession(path, system.catalog) as reader:
+            reader.derivability()
+            epoch = reader.last_read.epoch
+            assert system.delete_local("C", (2, "cn2"))
+            statements = []
+            reader._conn.set_trace_callback(statements.append)
+            after = reader.derivability()
+            assert "BEGIN" in statements
+            assert not reader.last_read.cache_hit
+            assert reader.last_read.epoch == epoch + 1
+            assert reader.last_read.epoch == store.reach_index.epoch
+            assert after == system.derivability()
+            # A commit that leaves the epoch alone (a __meta write)
+            # still sends the next read through a pinned snapshot,
+            # which finds the cached answer at the same epoch.
+            store.meta_set("unrelated", 1)
+            statements.clear()
+            assert reader.derivability() == after
+            assert "BEGIN" in statements
+            assert reader.last_read.cache_hit
+
     def test_session_caches_die_with_the_session(self, tmp_path):
         # The read core must not point back at its session: a
         # reference cycle would park every dropped session's decoded
@@ -364,14 +409,19 @@ class TestReaderSession:
         assert sleeps == []  # documentation: no hidden global sleeps
 
     def test_dirty_run_refused(self, tmp_path):
+        # Format 2 has no dirty run: an exchange commits whole.  A
+        # format-1 file may still carry the flag, and a reader never
+        # serves a file the writer has not migrated.
+        from store_state import as_format_1
+
         system, path = resident_example(tmp_path)
-        system.exchange_store.dirty_run = True
+        system.exchange_store.close()
+        as_format_1(path, dirty_run=1)
         with ReaderSession(
             path, system.catalog, retry=FAST_RETRY
         ) as reader:
-            with pytest.raises(ServeUnavailable):
+            with pytest.raises(StorageError, match="format 1"):
                 reader.derivability()
-        system.exchange_store.dirty_run = False
 
     def test_cte_path_on_forest_store(self, tmp_path):
         memory, resident = copy_chain_twins()

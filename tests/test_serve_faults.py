@@ -6,10 +6,13 @@ Each scenario runs the writer in a *subprocess* and kills it (via
 process death, no cleanup handlers), then examines the store file from
 the parent:
 
-* killed after the data rounds committed but before index maintenance
-  finished → the persisted dirty-run flag + stale mark make readers
-  refuse cleanly (:class:`ServeUnavailable`), and a reopen-by-path
-  exchange heals the store (full re-seed, index rebuilt);
+* killed after the data rounds ran but before index maintenance
+  finished → the exchange is one transaction, so SQLite rolls all of
+  it back: readers serve the pre-run epoch, and a reopened writer
+  ships the lost rows again;
+* killed between a local deletion and its propagation → the deletion
+  and the roots it recorded are durable, and a reopened writer's
+  propagation walks those roots' cone to the memory twin's state;
 * killed inside the deletion kill transaction → SQLite rolls the
   transaction back, so readers still serve the exact pre-propagation
   state, and a reopened writer completes the propagation.
@@ -22,10 +25,11 @@ import textwrap
 
 import pytest
 
-from repro.errors import ServeUnavailable
+from repro.obs.trace import MemorySink, Tracer
 from repro.provenance.graph import TupleNode
 from repro.serve import BackoffPolicy, ReaderSession
 
+from store_state import assert_store_matches
 from test_serve import build_example
 
 FAST_RETRY = BackoffPolicy(attempts=3, base_delay=0.0, multiplier=1.0)
@@ -65,14 +69,16 @@ def tests_dir():
 
 
 class TestWriterKilledMidExchange:
-    def test_readers_refuse_then_reopen_heals(self, tmp_path, tests_dir):
+    def test_readers_serve_pre_run_epoch_then_reopen_exchanges(
+        self, tmp_path, tests_dir
+    ):
         path = str(tmp_path / "killed.db")
         proc = _run_child(
             """
             system = build_example()
             system.exchange(engine="sqlite", storage=path, resident=True)
-            # Second, incremental run: die after its data rounds
-            # committed, before index maintenance / dirty-clear ran.
+            # Second, incremental run: die after its data rounds ran,
+            # before index maintenance and the commit.
             system.insert_local("A", (3, "sn3", 9))
             ReachabilityIndex.on_run_complete = (
                 lambda *a, **k: os._exit(17)
@@ -86,32 +92,81 @@ class TestWriterKilledMidExchange:
         assert proc.returncode == 17, proc.stderr
         assert os.path.exists(path)
 
-        # Partial state is on disk (the run's rounds committed), but
-        # the persisted dirty flag refuses every reader cleanly — no
-        # wrong answer, no hang, no partial observation.
+        # The run was one transaction: nothing of it reached the file.
+        # Readers serve the pre-run epoch at once — no refusal, no
+        # retry — and it equals a twin that never ran the second
+        # exchange.
+        before = build_example()
+        before.exchange()
         schema_only = build_example()
         with ReaderSession(
             path, schema_only.catalog, retry=FAST_RETRY
         ) as reader:
-            with pytest.raises(ServeUnavailable, match="dirty"):
-                reader.derivability()
-            assert reader.metrics.value("serve.unavailable") == 1
+            assert reader.derivability() == before.derivability()
+            assert reader.last_read.retries == 0
+            with pytest.raises(KeyError):
+                reader.lineage(TupleNode("O", ("sn3", 9, True)))
+            assert reader.metrics.value("serve.stale_retries") == 0
 
-        # Reopen by path from this process: the dirty flag forces the
-        # full re-seed, the index rebuilds, and readers serve again —
-        # matching a memory twin that ran the same operations cleanly.
+        # A reopened writer holding the same local rows finds
+        # A(3, sn3, 9) missing from the store and ships it.
         twin = build_example()
         twin.insert_local("A", (3, "sn3", 9))
         twin.exchange()
         healed = build_example()
         healed.insert_local("A", (3, "sn3", 9))
-        healed.exchange(engine="sqlite", storage=path, resident=True)
-        assert not healed.exchange_store.dirty_run
+        result = healed.exchange(engine="sqlite", storage=path, resident=True)
+        assert result.rows_mirrored == 1
         assert healed.exchange_store.meta_get("index_state") == "current"
+        assert_store_matches(twin, healed)
         with ReaderSession(path, healed.catalog) as reader:
             assert reader.derivability() == twin.derivability()
             node = TupleNode("O", ("sn3", 9, True))
             assert reader.lineage(node) == twin.lineage(node)
+
+
+class TestWriterKilledBeforePropagation:
+    def test_roots_are_durable_and_reopen_propagates_the_cone(
+        self, tmp_path, tests_dir
+    ):
+        path = str(tmp_path / "roots.db")
+        proc = _run_child(
+            """
+            system = build_example()
+            system.exchange(engine="sqlite", storage=path, resident=True)
+            assert system.delete_local("A", (2, "sn1", 5))
+            os._exit(29)  # before propagate_deletions
+            """,
+            path,
+            tests_dir,
+        )
+        assert proc.returncode == 29, proc.stderr
+
+        twin = build_example()
+        twin.exchange()
+        twin.delete_local("A", (2, "sn1", 5))
+        healed = build_example()
+        healed.delete_local("A", (2, "sn1", 5))
+        sink = MemorySink()
+        healed.tracer = Tracer(sink)
+        healed.exchange(engine="sqlite", storage=path, resident=True)
+        store = healed.exchange_store
+        # The deletion committed with its roots and the marker.
+        roots = store.connection.execute(
+            'SELECT COUNT(*) FROM "__ridx_root"'
+        ).fetchone()[0]
+        assert roots > 0
+        assert store.meta_get("roots_complete") == 1
+        assert healed.propagate_deletions() == twin.propagate_deletions() > 0
+        (fixpoint,) = [
+            r for r in sink.records() if r["name"] == "deletion.fixpoint"
+        ]
+        assert fixpoint["attrs"]["path"] == "cone"
+        assert_store_matches(twin, healed)
+        assert healed.derivability() == twin.derivability()
+        assert store.connection.execute(
+            'SELECT COUNT(*) FROM "__ridx_root"'
+        ).fetchone()[0] == 0
 
 
 class TestWriterKilledMidPropagation:
